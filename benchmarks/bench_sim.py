@@ -24,8 +24,9 @@ readable report (``BENCH_sim.json``):
   record/replay/merge stage split, a persistent tape-cache cold/warm
   pair, the worst per-gear relative error, and any grid points that
   fell back to the event engine;
-- **grid_replay** — the vectorized gear-axis replay against the scalar
-  reference interpreter on the *same* certified tape, over a dense
+- **grid_replay** — the vectorized gear-axis replay against the
+  per-gear scalar oracle (``tests/sim/oracle.py``: scalar interpreter
+  plus per-gear rollup) on the *same* certified tape, over a dense
   16-gear menu (dense grids are what the optimizer layer downstream
   sweeps): replay-only walls with the compile amortized, the
   ``grid_over_scalar_speedup`` ratchet, per-gear vector/scalar/
@@ -74,6 +75,10 @@ SUITE = (
 
 #: Default location of the committed throughput floor.
 BASELINE_PATH = Path(__file__).parent / "BENCH_baseline.json"
+
+#: Repository root: makes the test-side replay oracle importable when
+#: this file runs as a script.
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 #: Throughput may drop to this fraction of the baseline before failing.
 REGRESSION_FLOOR = 0.8
@@ -351,16 +356,20 @@ def _dense_gear_cluster(menu_gears: int):
 def bench_grid_replay(
     nodes: int = 4, iterations_scale: float = 10.0, menu_gears: int = 16
 ) -> dict:
-    """Vectorized gear-axis replay vs the scalar reference interpreter.
+    """Vectorized gear-axis replay vs the per-gear scalar oracle.
 
-    Both modes revalue the *same* certified tape (a dense non-macro-
-    stepped 1000-iteration Jacobi recording, ~50k ops), so the timing
-    isolates exactly the tentpole: per-gear scalar walks vs one
-    ``(gears × ops)`` NumPy pass.  The compiled form is warmed first —
-    compilation is a one-time cost cached on the tape — and each mode
-    takes the best of three replay-only walls.
+    Both revalue the *same* certified tape (a dense non-macro-stepped
+    1000-iteration Jacobi recording, ~50k ops), so the timing isolates
+    per-gear scalar walks against one ``(gears × ops)`` NumPy pass.  The
+    compiled form is warmed first — compilation is a one-time cost
+    cached on the tape — and each side takes the best of three
+    replay-only walls.
     """
     from repro.sim.batch import ReplayStats, record_tape, replay_grid
+
+    if str(REPO_ROOT) not in sys.path:
+        sys.path.insert(0, str(REPO_ROOT))
+    from tests.sim.oracle import oracle_grid
 
     cluster = _dense_gear_cluster(menu_gears)
     workload = Jacobi(iterations_scale)
@@ -375,14 +384,14 @@ def bench_grid_replay(
             walls.append(time.perf_counter() - start)
         return min(walls)
 
-    replay_grid(tape, grid, mode="grid")  # warm: compile + numpy setup
-    replay_grid(tape, grid, mode="scalar")
-    grid_s = best_of(lambda: replay_grid(tape, grid, mode="grid"))
-    scalar_s = best_of(lambda: replay_grid(tape, grid, mode="scalar"))
+    replay_grid(tape, grid)  # warm: compile + numpy setup
+    oracle_grid(tape, grid)
+    grid_s = best_of(lambda: replay_grid(tape, grid))
+    scalar_s = best_of(lambda: oracle_grid(tape, grid))
 
     stats = ReplayStats()
-    vector_results = replay_grid(tape, grid, mode="grid", stats=stats)
-    scalar_results = replay_grid(tape, grid, mode="scalar")
+    vector_results = replay_grid(tape, grid, stats=stats)
+    scalar_results = oracle_grid(tape, grid)
     gears = []
     for a, b in zip(scalar_results, vector_results):
         gears.append(
@@ -572,7 +581,7 @@ def check_baseline(report: dict, path: Path) -> list[str]:
         failures.append(
             f"grid-replay equivalence error {grid['max_rel_err']:.2e} "
             "exceeds 1e-9 — the vectorized walk is drifting from the "
-            "scalar interpreter"
+            "per-gear scalar oracle"
         )
     if (
         grid["scalar_gears"]

@@ -83,10 +83,6 @@ BACKEND_TOKEN = "batch"
 #: Backends :func:`repro.exec.sweep.sweep` accepts.
 BACKENDS = ("event", "batch")
 
-#: Replay modes :func:`batch_sweep` accepts (see
-#: :func:`repro.sim.batch.replay_grid`).
-REPLAY_MODES = ("grid", "scalar")
-
 
 def batch_cache_key(task: SimTask) -> str:
     """Cache key of a point executed through the batch backend."""
@@ -172,6 +168,13 @@ class BatchReport:
         replay_s: seconds spent revaluing gear grids from tapes.
         merge_s: parent-side seconds scattering unit results back to
             sweep order and writing the result cache.
+        vector_cols: replayed gear columns whose timeline came from the
+            vectorized walk (:class:`~repro.sim.batch.ReplayStats`
+            summed over every unit, pooled workers included).
+        scalar_cols: replayed gear columns whose timeline came from the
+            exact scalar interpreter instead.
+        divergent_cols: the scalar columns a per-column send-order guard
+            forced (the rest are whole-grid fallbacks).
     """
 
     groups: int = 0
@@ -184,6 +187,9 @@ class BatchReport:
     record_s: float = 0.0
     replay_s: float = 0.0
     merge_s: float = 0.0
+    vector_cols: int = 0
+    scalar_cols: int = 0
+    divergent_cols: int = 0
 
     @property
     def fallback_points(self) -> int:
@@ -193,9 +199,10 @@ class BatchReport:
     def summary(self) -> str:
         """One human-readable summary for CLI/bench reporting.
 
-        Always names the fallback count (zero included — silence is not
-        a signal), the tape-cache hit/miss counts when a persistent
-        cache was in play, and the record/replay/merge stage split.
+        Always names the fallback count and the replay column split
+        (zeros included — silence is not a signal), the tape-cache
+        hit/miss counts when a persistent cache was in play, and the
+        record/replay/merge stage split.
         """
         line = (
             f"batch backend: {self.grouped_points} point(s) in "
@@ -203,7 +210,11 @@ class BatchReport:
         )
         if self.passthrough_points:
             line += f", {self.passthrough_points} passthrough"
-        line += f", {len(self.fallbacks)} fallback(s)"
+        line += (
+            f", {len(self.fallbacks)} fallback(s); replay columns: "
+            f"{self.vector_cols} vector, {self.scalar_cols} scalar "
+            f"({self.divergent_cols} divergent)"
+        )
         if self.tape_cache_enabled:
             line += (
                 f"; tape cache: {self.tape_hits} hit(s), "
@@ -342,33 +353,36 @@ def _run_unit(
     tasks: Sequence[SimTask],
     batch: bool,
     *,
-    replay_mode: str = "grid",
     tape_root: Path | None = None,
     tape_key: str | None = None,
     prefail: str | None = None,
-) -> tuple[list[Any], str | None, float, float]:
+) -> tuple[list[Any], str | None, float, float, Any]:
     """Execute one unit.
 
     Returns (results in task order, fallback reason, recording seconds,
-    replay seconds).  Any :class:`~repro.sim.batch.BatchUnsupported` —
-    from certification, from the recording-gear self-check, or carried
-    in as ``prefail`` from the parallel-recording phase — downgrades
-    the whole unit to per-point event-engine runs, which are exact by
-    definition.  With a tape store available the recording is loaded
-    from it when present and stored into it when fresh.
+    replay seconds, :class:`~repro.sim.batch.ReplayStats` — all zero
+    unless the unit's grid replay shipped).  Any
+    :class:`~repro.sim.batch.BatchUnsupported` — from certification,
+    from the recording-gear self-check, or carried in as ``prefail``
+    from the parallel-recording phase — downgrades the whole unit to
+    per-point event-engine runs, which are exact by definition.  With a
+    tape store available the recording is loaded from it when present
+    and stored into it when fresh.
     """
     from repro.sim.batch import (
         BatchUnsupported,
+        ReplayStats,
         batch_gear_grid,
         batch_gear_sweep,
         record_tape,
         tape_to_payload,
     )
 
+    stats = ReplayStats()
     if not batch:
-        return [task.run() for task in tasks], None, 0.0, 0.0
+        return [task.run() for task in tasks], None, 0.0, 0.0, stats
     if prefail is not None:
-        return [task.run() for task in tasks], prefail, 0.0, 0.0
+        return [task.run() for task in tasks], prefail, 0.0, 0.0, stats
     first = tasks[0]
     record_s = 0.0
     try:
@@ -396,7 +410,7 @@ def _run_unit(
                     nodes=first.nodes,
                     gears=first.gears,
                     fast_forward=first.fast_forward,
-                    replay_mode=replay_mode,
+                    stats=stats,
                     tape=tape,
                 )
             ]
@@ -408,13 +422,14 @@ def _run_unit(
                     nodes=first.nodes,  # type: ignore[attr-defined]
                     gears=[t.gear for t in tasks],  # type: ignore[union-attr]
                     fast_forward=getattr(first, "fast_forward", None),
-                    replay_mode=replay_mode,
+                    stats=stats,
                     tape=tape,
                 )
             )
-        return results, None, record_s, time.perf_counter() - replay_start
+        return results, None, record_s, time.perf_counter() - replay_start, stats
     except BatchUnsupported as exc:
-        return [task.run() for task in tasks], str(exc), record_s, 0.0
+        # replay_grid counts only grids that passed the self-check.
+        return [task.run() for task in tasks], str(exc), record_s, 0.0, stats
 
 
 class _UnitPointError(Exception):
@@ -432,24 +447,22 @@ class _UnitPointError(Exception):
 def _execute_unit_chunk(
     chunk: Sequence[tuple[list[SimTask], bool, str | None, str | None]],
     tape_root: Path | None = None,
-    replay_mode: str = "grid",
-) -> list[tuple[list[Any], str | None, float, int, float, float]]:
+) -> list[tuple[list[Any], str | None, float, int, float, float, Any]]:
     """Run a chunk of units in one worker call.
 
     Per unit: (results, fallback reason, in-worker wall seconds,
-    fast-forwarded iterations, recording seconds, replay seconds) —
-    mirrors the event pool's in-worker accounting so IPC and startup
-    stay excluded.
+    fast-forwarded iterations, recording seconds, replay seconds, replay
+    stats) — mirrors the event pool's in-worker accounting so IPC and
+    startup stay excluded.
     """
     out = []
     for index, (tasks, batch, key, prefail) in enumerate(chunk):
         start = time.perf_counter()
         skipped_before = _ff_skipped(tasks[0])
         try:
-            results, fallback, record_s, replay_s = _run_unit(
+            results, fallback, record_s, replay_s, stats = _run_unit(
                 tasks,
                 batch,
-                replay_mode=replay_mode,
                 tape_root=tape_root,
                 tape_key=key,
                 prefail=prefail,
@@ -464,6 +477,7 @@ def _execute_unit_chunk(
                 _ff_skipped(tasks[0]) - skipped_before,
                 record_s,
                 replay_s,
+                stats,
             )
         )
     return out
@@ -478,7 +492,6 @@ def batch_sweep(
     chunk_size: int | None = None,
     report: BatchReport | None = None,
     tape_cache: TapeCache | None = None,
-    replay_mode: str = "grid",
 ) -> list[Any]:
     """The batch-backend twin of :func:`repro.exec.sweep.sweep`.
 
@@ -486,7 +499,8 @@ def batch_sweep(
     are routed to the event path by ``sweep`` itself — a replayed tape
     produces no events to observe).  ``report`` accumulates grouping,
     fallback, tape-cache, and stage-timing accounting across calls when
-    provided.
+    provided, including how many replayed gear columns came off the
+    vectorized walk versus the scalar interpreter.
 
     Args:
         tape_cache: optional persistent store of serialized recordings;
@@ -496,21 +510,12 @@ def batch_sweep(
             recordings are stored for the next sweep.  ``None`` keeps
             recordings sweep-local (a temporary store still backs the
             parallel-recording phase when ``jobs > 1``).
-        replay_mode: ``"grid"`` (default) revalues each group's gear
-            grid in one vectorized pass; ``"scalar"`` forces the
-            per-gear reference interpreter (see
-            :func:`repro.sim.batch.replay_grid`).
     """
     ordered: Sequence[SimTask] = list(tasks)
     if jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
     if chunk_size is not None and chunk_size < 1:
         raise ConfigurationError(f"chunk_size must be >= 1, got {chunk_size}")
-    if replay_mode not in REPLAY_MODES:
-        known = ", ".join(repr(m) for m in REPLAY_MODES)
-        raise ConfigurationError(
-            f"unknown replay mode {replay_mode!r}; choose from {known}"
-        )
     seen: set[tuple] = set()
     for task in ordered:
         if task.key in seen:
@@ -600,17 +605,15 @@ def batch_sweep(
                 profile,
                 report,
                 pool_root,
-                replay_mode,
             )
     else:
         for unit in units:
             start = time.perf_counter()
             skipped_before = _ff_skipped(unit.tasks[0])
             try:
-                unit_results, fallback, record_s, replay_s = _run_unit(
+                unit_results, fallback, record_s, replay_s, stats = _run_unit(
                     unit.tasks,
                     unit.batch,
-                    replay_mode=replay_mode,
                     tape_root=tape_root,
                     tape_key=unit.tape_key,
                 )
@@ -627,6 +630,7 @@ def batch_sweep(
                 report,
                 record_s=record_s,
                 replay_s=replay_s,
+                stats=stats,
             )
 
     merge_start = time.perf_counter()
@@ -670,6 +674,7 @@ def _merge_unit(
     *,
     record_s: float = 0.0,
     replay_s: float = 0.0,
+    stats: Any,
 ) -> None:
     """Scatter a unit's results back to their sweep positions.
 
@@ -686,6 +691,9 @@ def _merge_unit(
     if report is not None:
         report.record_s += record_s
         report.replay_s += replay_s
+        report.vector_cols += stats.vector_gears
+        report.scalar_cols += stats.scalar_gears
+        report.divergent_cols += stats.divergent_gears
         if fallback is not None:
             report.fallbacks.append(
                 BatchFallback(
@@ -780,7 +788,6 @@ def _run_units_pool(
     profile: ExecProfile | None,
     report: BatchReport | None,
     tape_root: Path | None,
-    replay_mode: str,
 ) -> None:
     """Fan unit chunks out to a process pool; merge in unit order.
 
@@ -807,7 +814,7 @@ def _run_units_pool(
             for chunk in chunks
         ]
         futures = [
-            pool.submit(_execute_unit_chunk, payload, tape_root, replay_mode)
+            pool.submit(_execute_unit_chunk, payload, tape_root)
             for payload in payloads
         ]
         wait(futures, return_when=FIRST_EXCEPTION)
@@ -831,6 +838,7 @@ def _run_units_pool(
                 skipped,
                 record_s,
                 replay_s,
+                stats,
             ) in zip(chunk, outcomes):
                 # Workers mutate their own pickled fast-forward config;
                 # fold the recording's skip count back into the parent
@@ -849,4 +857,5 @@ def _run_units_pool(
                     report,
                     record_s=record_s,
                     replay_s=replay_s,
+                    stats=stats,
                 )

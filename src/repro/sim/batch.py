@@ -39,30 +39,30 @@ This module exploits it across a whole sweep:
    elementwise over ``(gears × segments)`` matrices, bitwise-identical
    to the engine's scalar arithmetic — and the tape's *interactions*
    (message completions, the stateful network server pool, recorded
-   macro-step jumps) are walked **once for the whole grid**: the tape is
-   compiled to structure-of-arrays columns (:func:`compile_columns`)
-   plus a gear-invariant schedule (the wire-send order and the
-   send↔receive pairing observed by one instrumented scalar replay at
-   the recording gear), and every gear's timeline advances in lockstep
-   as ``(gears,)`` time vectors.  Stretches between interactions
-   collapse to one cumulative-sum gap per gear; receive completions are
-   pure ``max`` dataflow because the pairing is FIFO per (source, tag)
-   channel and hence gear-invariant.  Two recorded properties *can*
-   legitimately vary with the gear and are guarded per gear: a receive
-   with a wildcard source/tag (matching order is time-dependent —
-   the whole tape replays scalar), and the injection order of wire
-   sends through the contended server pool (an inversion or a
-   contended tie against the recorded order flags that gear, which is
-   re-replayed by the scalar interpreter — exact, reported via
-   :class:`ReplayStats`, never silent).  The scalar per-gear
-   interpreter (:func:`_replay_gear`) remains the reference path,
-   selectable via ``replay_mode="scalar"`` and equivalence-tested
-   against the vectorized walk at 1e-9.
+   macro-step jumps) are walked **once for the whole grid**: the op
+   tuples are compiled into per-rank replay plans plus a gear-invariant
+   schedule (the wire-send order and the send↔receive pairing observed
+   by one instrumented scalar replay at the recording gear), and every
+   gear's timeline advances in lockstep as ``(gears,)`` time vectors.
+   Stretches between interactions collapse to one cumulative-sum gap
+   per gear; receive completions are pure ``max`` dataflow because the
+   pairing is FIFO per (source, tag) channel and hence gear-invariant.
+   Two recorded properties *can* legitimately vary with the gear and
+   are guarded: a receive with a wildcard source/tag (matching order is
+   time-dependent — the tape is not walked at all), and the injection
+   order of wire sends through the contended server pool (an inversion
+   or a contended tie against the recorded order flags that gear
+   column).  Every column the walk cannot certify takes its timeline
+   (per-rank finish times and disk-phase boundaries) from the exact
+   scalar interpreter (:func:`_replay_gear`) instead — the recording
+   gear's from the compile-time replay, which is never repeated — and
+   the count is reported via :class:`ReplayStats`, never silent.
 
-4. **Roll up.**  Energy decomposes exactly: each rank draws its idle
-   power for the whole run plus a busy *excess* for compute and disk
-   segments, so ``E(g) = Σ_phases P_idle(g)·Δt + Σ_seg w·(P_seg(g) −
-   P_idle(g))·d_seg(g) + disk-excess`` with the per-segment excess
+4. **Roll up.**  One vectorized rollup turns every column's timeline
+   into measurements.  Energy decomposes exactly: each rank draws its
+   idle power for the whole run plus a busy *excess* for compute and
+   disk segments, so ``E(g) = Σ_phases P_idle(g)·Δt + Σ_seg w·(P_seg(g)
+   − P_idle(g))·d_seg(g) + disk-excess`` with the per-segment excess
    vectorized over the grid.  Window weights ``w`` replicate skipped
    cycles exactly as the event path's meter/trace replication does.
 
@@ -150,22 +150,25 @@ class BatchUnsupported(Exception):
 
 @dataclass
 class ReplayStats:
-    """How a :func:`replay_grid` call executed each gear column.
+    """Where :func:`replay_grid` took each requested gear column's timeline.
 
     The vectorized walk is conservative: any gear whose interaction
-    order cannot be proven to match the recorded schedule is re-replayed
-    by the exact scalar interpreter and counted here, so truncated
-    vector coverage is visible, never silent.
+    order cannot be proven to match the recorded schedule takes its
+    timeline from the exact scalar interpreter instead, and is counted
+    here, so truncated vector coverage is visible, never silent.  Every
+    column then goes through the same vectorized rollup.  Counts cover
+    grids that passed the self-check.
     """
 
-    #: Gear columns revalued by the vectorized gear-axis walk.
+    #: Gear columns whose timeline came from the vectorized walk.
     vector_gears: int = 0
-    #: Gear columns replayed by the scalar reference interpreter
-    #: (``replay_mode="scalar"``, an ineligible tape, or a guard).
+    #: Gear columns whose timeline came from the scalar interpreter
+    #: (an ineligible tape, a diverged recording-gear column, or a
+    #: per-column guard).
     scalar_gears: int = 0
-    #: Scalar columns forced by an order-divergence guard specifically.
+    #: Scalar columns forced by a per-column order-divergence guard.
     divergent_gears: int = 0
-    #: Why whole tapes were routed to the scalar path, when they were.
+    #: Why whole grids took scalar timelines, when they did.
     fallback_reasons: list[str] = field(default_factory=list)
 
 
@@ -206,7 +209,7 @@ class Tape:
     recording_gear: int
     #: Iterations the recording's fast-forward macro-stepped past.
     recorded_skips: int
-    #: Lazily-built compiled form (SoA columns + replay schedule).
+    #: Lazily-built compiled form (replay plans + schedule).
     #: Derived state: not part of the tape's identity or its payload.
     _compiled: "CompiledTape | None" = field(
         default=None, repr=False, compare=False
@@ -544,15 +547,19 @@ class _ReplayTrace:
     )
 
 
+#: One gear's exact timeline: per-rank finish times and per-rank
+#: disk-speed phase boundaries ``(time, new disk idle watts)``.
+_Timeline = tuple[list[float], list[list[tuple[float, float]]]]
+
+
 def _replay_gear(
     tape: Tape,
     durations: list[list[float]],
     trace: _ReplayTrace | None = None,
-) -> tuple[list[float], list[list[tuple[float, float]]]]:
+) -> _Timeline:
     """Re-run the tape's interactions at one gear.
 
-    Returns per-rank finish times and per-rank disk-speed phase
-    boundaries ``(time, new disk idle watts)``.  The interpreter mirrors
+    Returns the gear's :data:`_Timeline`.  The interpreter mirrors
     :class:`~repro.mpi.world.World` exactly — same matching algorithm,
     same network server pool, same FIFO tie-breaking — so the timeline
     is the event engine's, without generators, traces, or meters.
@@ -761,112 +768,7 @@ def _replay_gear(
 
 
 # ----------------------------------------------------------------------
-# Compilation: SoA columns + gear-axis replay plan
-
-#: Parameter lanes of :class:`RankColumns` (fixed-width SoA layout).
-_INT_LANES = 4
-_FLOAT_LANES = 2
-
-
-@dataclass
-class RankColumns:
-    """Structure-of-arrays form of one rank's op tape.
-
-    ``codes[i]`` is the opcode of op ``i``; its parameters live in fixed
-    lanes of ``ints``/``floats`` (layout in :func:`compile_columns`).
-    The mapping is exact: :func:`columns_to_ops` reconstructs the tuple
-    stream value-for-value, so the columns — not the tuples — are the
-    form the vectorized replay plan is built from.
-    """
-
-    codes: np.ndarray  # (n,) int64 opcodes
-    ints: np.ndarray  # (n, 4) int64 integer parameters
-    floats: np.ndarray  # (n, 2) float64 parameters
-
-
-def compile_columns(ops: Sequence[tuple]) -> RankColumns:
-    """Compile one rank's op tuples into SoA columns.
-
-    Lane layout (unused lanes are zero):
-
-    ========  ======================================  =========================
-    opcode    ``ints`` lanes                          ``floats`` lanes
-    ========  ======================================  =========================
-    COMPUTE   0: segment index                        —
-    SEND      0: dest, 1: tag, 2: nbytes, 3: same     —
-    RECV      0: source, 1: tag, 2: slot              —
-    WAIT      0: slot                                 —
-    ELAPSE    —                                       0: seconds
-    DISK      —                                       0: duration
-    DSPEED    —                                       0: transition, 1: idle W
-    MARK      0: skipped, 1: period                   —
-    ========  ======================================  =========================
-    """
-    n = len(ops)
-    codes = np.zeros(n, dtype=np.int64)
-    ints = np.zeros((n, _INT_LANES), dtype=np.int64)
-    floats = np.zeros((n, _FLOAT_LANES), dtype=np.float64)
-    for i, op in enumerate(ops):
-        code = op[0]
-        codes[i] = code
-        if code == _OP_COMPUTE:
-            ints[i, 0] = op[1]
-        elif code == _OP_SEND:
-            ints[i, 0] = op[1]
-            ints[i, 1] = op[2]
-            ints[i, 2] = op[3]
-            ints[i, 3] = 1 if op[4] else 0
-        elif code == _OP_RECV:
-            ints[i, 0] = op[1]
-            ints[i, 1] = op[2]
-            ints[i, 2] = op[3]
-        elif code == _OP_WAIT:
-            ints[i, 0] = op[1]
-        elif code == _OP_MARK:
-            ints[i, 0] = op[1]
-            ints[i, 1] = op[2]
-        elif code in (_OP_ELAPSE, _OP_DISK):
-            floats[i, 0] = op[1]
-        else:  # _OP_DSPEED
-            floats[i, 0] = op[1]
-            floats[i, 1] = op[2]
-    return RankColumns(codes=codes, ints=ints, floats=floats)
-
-
-def columns_to_ops(columns: RankColumns) -> list[tuple]:
-    """Reconstruct the op tuple stream from SoA columns (exact inverse)."""
-    ops: list[tuple] = []
-    codes = columns.codes
-    ints = columns.ints
-    floats = columns.floats
-    for i in range(len(codes)):
-        code = int(codes[i])
-        if code == _OP_COMPUTE:
-            ops.append((code, int(ints[i, 0])))
-        elif code == _OP_SEND:
-            ops.append(
-                (
-                    code,
-                    int(ints[i, 0]),
-                    int(ints[i, 1]),
-                    int(ints[i, 2]),
-                    bool(ints[i, 3]),
-                )
-            )
-        elif code == _OP_RECV:
-            ops.append(
-                (code, int(ints[i, 0]), int(ints[i, 1]), int(ints[i, 2]))
-            )
-        elif code == _OP_WAIT:
-            ops.append((code, int(ints[i, 0])))
-        elif code == _OP_MARK:
-            ops.append((code, int(ints[i, 0]), int(ints[i, 1])))
-        elif code in (_OP_ELAPSE, _OP_DISK):
-            ops.append((code, float(floats[i, 0])))
-        else:  # _OP_DSPEED
-            ops.append((code, float(floats[i, 0]), float(floats[i, 1])))
-    return ops
-
+# Compilation: gear-axis replay plan
 
 # Interaction kinds of the vectorized replay plan.  Everything that is
 # not an interaction is a pure delay and is folded into the gaps.
@@ -914,20 +816,14 @@ class _RankPlan:
     recv_rows: np.ndarray  # (R,) int64 indices of _IN_RECV steps
 
 
-def _build_plan(
-    tape: Tape, rank: int, columns: RankColumns, trace: _ReplayTrace
-) -> _RankPlan:
-    """Fold one rank's columns + the observed schedule into a plan."""
+def _build_plan(tape: Tape, rank: int, trace: _ReplayTrace) -> _RankPlan:
+    """Fold one rank's op tuples + the observed schedule into a plan."""
     link = tape.cluster.network_model().spec
     overhead = link.software_overhead
-    pooled = link.concurrency is not None
-    codes = columns.codes
-    ints = columns.ints
-    floats = columns.floats
+    ops = tape.ops[rank]
     # Ranks with no recorded jump never read the mark history, so plain
     # marks compile to nothing at all (dense recordings have thousands).
-    mark_rows = codes == _OP_MARK
-    has_jump = bool(mark_rows.any()) and bool((ints[mark_rows, 0] > 0).any())
+    has_jump = any(op[0] == _OP_MARK and op[1] for op in ops)
 
     steps: list[tuple] = []
     gap_const: list[float] = []
@@ -947,19 +843,18 @@ def _build_plan(
         const = 0.0
         lo = hi
 
-    for i in range(len(codes)):
-        code = int(codes[i])
+    for op in ops:
+        code = op[0]
         if code == _OP_COMPUTE:
-            seg = int(ints[i, 0])
-            assert seg == hi, "segments must be contiguous in tape order"
-            hi = seg + 1
+            assert op[1] == hi, "segments must be contiguous in tape order"
+            hi += 1
         elif code == _OP_SEND:
             # The sender-side overhead precedes the injection, so folding
             # it into the gap makes the walk's time *be* the inject time;
             # the receiver-side overhead rides inside the arrival const.
             const += overhead
-            nbytes = int(ints[i, 2])
-            if ints[i, 3]:
+            _, _, _, nbytes, same = op
+            if same:
                 emit(
                     (
                         _IN_LOCAL,
@@ -979,19 +874,18 @@ def _build_plan(
                 )
             ordinal += 1
         elif code == _OP_RECV:
-            emit((_IN_RECV, int(ints[i, 2])))
+            emit((_IN_RECV, op[3]))
         elif code == _OP_WAIT:
-            slot = int(ints[i, 0])
+            slot = op[1]
             src, sord = trace.pairing[(rank, slot)]
             emit((_IN_WAIT, slot, src, sord))
         elif code in (_OP_ELAPSE, _OP_DISK):
-            const += float(floats[i, 0])
+            const += op[1]
         elif code == _OP_DSPEED:
-            emit((_IN_PHASE, float(floats[i, 1])))
-            const += float(floats[i, 0])
-        else:  # _OP_MARK
-            if has_jump:
-                emit((_IN_MARK, int(ints[i, 0]), int(ints[i, 1])))
+            emit((_IN_PHASE, op[2]))
+            const += op[1]
+        elif has_jump:  # _OP_MARK
+            emit((_IN_MARK, op[1], op[2]))
     emit((_IN_END,))
 
     boundary = np.zeros(len(steps), dtype=np.int64)
@@ -1016,19 +910,21 @@ def _build_plan(
 
 @dataclass
 class CompiledTape:
-    """Derived form of a tape: SoA columns, plans, observed schedule.
+    """Derived form of a tape: plans, observed schedule, recording timeline.
 
     Built lazily by :func:`_compiled` and cached on the tape, so
     repeated grid replays of one tape pay only the vectorized walk.
-    ``eligible`` is False when the tape cannot be walked vectorized at
-    all (wildcard receives); ``reason`` says why.
+    ``reason`` is set when the tape cannot be walked vectorized at all
+    (wildcard receives) and says why; ``plans`` is then empty.
+    ``timeline`` is the exact scalar replay of the recording gear that
+    derived the schedule — the recording-gear column's fallback, so that
+    gear is never replayed twice.
     """
 
-    eligible: bool
     reason: str | None
-    columns: list[RankColumns]
     plans: list[_RankPlan]
     schedule: _ReplayTrace
+    timeline: _Timeline
 
 
 def _vector_ineligible(tape: Tape) -> str | None:
@@ -1036,7 +932,7 @@ def _vector_ineligible(tape: Tape) -> str | None:
 
     Wildcard receives make the matching order time-dependent, so the
     recorded pairing cannot be certified gear-invariant; such tapes
-    replay through the scalar interpreter for every gear.
+    take every gear's timeline from the scalar interpreter.
     """
     for rank, ops in enumerate(tape.ops):
         for op in ops:
@@ -1051,21 +947,17 @@ def _vector_ineligible(tape: Tape) -> str | None:
 
 
 def _compile_tape(tape: Tape) -> CompiledTape:
-    """Compile a tape: columns, one instrumented scalar replay, plans."""
-    reason = _vector_ineligible(tape)
-    if reason is not None:
-        return CompiledTape(False, reason, [], [], _ReplayTrace())
-    columns = [compile_columns(ops) for ops in tape.ops]
+    """Compile a tape: one instrumented scalar replay, then plans."""
     trace = _ReplayTrace()
-    durations = [
-        d.tolist() for d in _segment_durations(tape, tape.recording_gear)
-    ]
-    _replay_gear(tape, durations, trace)
-    plans = [
-        _build_plan(tape, rank, columns[rank], trace)
-        for rank in range(tape.nodes)
-    ]
-    return CompiledTape(True, None, columns, plans, trace)
+    durations = _duration_grid(tape, [tape.recording_gear])
+    timeline = _replay_gear(tape, [d[0].tolist() for d in durations], trace)
+    reason = _vector_ineligible(tape)
+    plans = (
+        [_build_plan(tape, rank, trace) for rank in range(tape.nodes)]
+        if reason is None
+        else []
+    )
+    return CompiledTape(reason, plans, trace, timeline)
 
 
 def _compiled(tape: Tape) -> CompiledTape:
@@ -1074,24 +966,14 @@ def _compiled(tape: Tape) -> CompiledTape:
     return tape._compiled
 
 
-def _segment_durations(tape: Tape, gear_index: int) -> list[np.ndarray]:
-    """Per-rank compute-segment durations at one gear, engine-exact."""
-    cluster = tape.cluster
-    cpu = cluster.node.cpu
-    denom = cpu.issue_rate * cluster.gears[gear_index].frequency_hz
-    return [
-        tape.seg_uops[rank] / denom + tape.seg_stall[rank]
-        for rank in range(tape.nodes)
-    ]
-
-
 def _duration_grid(
     tape: Tape, gear_indices: Sequence[int]
 ) -> list[np.ndarray]:
     """Per-rank ``(gears, segments)`` duration matrices.
 
-    Elementwise identical to :func:`_segment_durations` per row: the
-    broadcast performs the same scalar division and addition per cell.
+    Row ``c`` is bitwise the engine's per-segment durations at gear
+    ``gear_indices[c]``: the broadcast performs the same scalar division
+    and addition per cell.
     """
     cluster = tape.cluster
     cpu = cluster.node.cpu
@@ -1249,94 +1131,6 @@ def _vector_walk(
     return finish, phases, divergent  # type: ignore[return-value]
 
 
-def _measure_gear(tape: Tape, gear_index: int) -> RunMeasurement:
-    """Scalar reference path: replay + roll up one gear exactly.
-
-    This is PR 7's per-gear loop body, unchanged float-for-float; the
-    vectorized grid falls back to it per gear column when the send-order
-    guard fires, and ``replay_mode="scalar"`` runs it for every gear.
-    """
-    cluster = tape.cluster
-    node_spec = cluster.node
-    cpu = node_spec.cpu
-    power_model = node_spec.power_model()
-    cpu_model = power_model.cpu_model
-    ref_bw = node_spec.memory.reference_miss_bandwidth
-    upm = CounterBank(uops=tape.total_uops, l2_misses=tape.total_misses).upm
-
-    gear = cluster.gears[gear_index]
-    scale = cpu_model.dynamic_scale(gear)
-    leak = cpu_model.leakage_power(gear)
-    # Scalar prefixes mirror CPUPowerModel's left-associated products
-    # so the vectorized power matches the engine's floats exactly.
-    k_active = cpu.dynamic_power_full * scale * cpu.active_activity
-    cpu_idle = cpu.dynamic_power_full * scale * cpu.idle_activity + leak
-    pm_idle = power_model.base_power + cpu_idle
-    saf = cpu.stall_activity_fraction
-
-    dur_arrays = _segment_durations(tape, gear_index)
-    durations = [d.tolist() for d in dur_arrays]
-
-    finish, phases = _replay_gear(tape, durations)
-    end_time = max(finish) if finish else 0.0
-
-    energy = 0.0
-    active_time = 0.0
-    reducible_time = 0.0
-    for rank in range(tape.nodes):
-        d = dur_arrays[rank]
-        w = tape.seg_weight[rank]
-        if len(d):
-            stall_frac = tape.seg_stall[rank] / d
-            occupancy = (1.0 - stall_frac) + saf * stall_frac
-            cpu_active = k_active * occupancy + leak
-            intensity = np.minimum(
-                1.0, (tape.seg_misses[rank] / d) / ref_bw
-            )
-            p_active = (
-                power_model.base_power
-                + cpu_active
-                + power_model.memory_power_max * intensity
-            )
-            wd = w * d
-            energy += float(np.sum(wd * (p_active - pm_idle)))
-            rank_active = float(np.sum(wd))
-            rank_reducible = float(np.sum(tape.seg_reducible[rank] * wd))
-        else:
-            rank_active = 0.0
-            rank_reducible = 0.0
-        if rank_active > active_time:
-            active_time = rank_active
-        if rank_reducible > reducible_time:
-            reducible_time = rank_reducible
-        # Idle baseline: the rank draws (CPU idle + disk idle) for
-        # the whole run; disk-speed transitions split it into phases.
-        t = 0.0
-        disk_idle = tape.initial_disk_idle
-        for boundary, new_idle in phases[rank]:
-            energy += (pm_idle + disk_idle) * (boundary - t)
-            t = boundary
-            disk_idle = new_idle
-        energy += (pm_idle + disk_idle) * (end_time - t)
-        energy += tape.disk_excess[rank]
-
-    measurement = RunMeasurement(
-        workload=tape.workload_name,
-        cluster=cluster.name,
-        nodes=tape.nodes,
-        gear=gear_index,
-        time=end_time,
-        energy=energy,
-        active_time=active_time,
-        idle_time=max(0.0, end_time - active_time),
-        reducible_time=reducible_time,
-        upm=upm,
-    )
-    if gear_index == tape.recording_gear:
-        _self_check(tape, measurement)
-    return measurement
-
-
 @dataclass
 class _GridRollup:
     """Per-gear-column measurement arrays from one vectorized rollup."""
@@ -1357,10 +1151,11 @@ def _rollup_vector(
 ) -> _GridRollup:
     """Energy/counter rollup for all gear columns in one pass.
 
-    Mirrors :func:`_measure_gear`'s arithmetic elementwise over the gear
+    Mirrors the engine's per-gear arithmetic elementwise over the gear
     axis: every per-gear scalar becomes a ``(gears,)`` vector built from
-    the same left-associated scalar prefixes, and the per-segment matrix
-    ops reduce along the segment axis exactly as the per-gear rows do.
+    the same left-associated scalar prefixes (those of
+    :class:`~repro.cluster.power.CPUPowerModel`), and the per-segment
+    matrix ops reduce along the segment axis.
     """
     cluster = tape.cluster
     node_spec = cluster.node
@@ -1453,82 +1248,104 @@ def _column_measurement(
     )
 
 
-def _replay_grid_scalar(
-    tape: Tape, gear_indices: Sequence[int], stats: ReplayStats
-) -> list[RunMeasurement]:
-    stats.scalar_gears += len(gear_indices)
-    return [_measure_gear(tape, g) for g in gear_indices]
+def _scalar_timelines(
+    tape: Tape,
+    compiled: CompiledTape,
+    gear_indices: Sequence[int],
+    dur_grid: list[np.ndarray],
+    cols: Sequence[int],
+    finish: list[np.ndarray],
+    phases: list[list[tuple[np.ndarray, float]]],
+) -> None:
+    """Overwrite columns ``cols`` of the timeline vectors with exact
+    scalar replays.  Disk-phase counts per rank are structural, so each
+    gear's phase list lines up entry for entry with the vectors'."""
+    for col in cols:
+        if gear_indices[col] == tape.recording_gear:
+            col_finish, col_phases = compiled.timeline
+        else:
+            col_finish, col_phases = _replay_gear(
+                tape, [d[col].tolist() for d in dur_grid]
+            )
+        for rank in range(tape.nodes):
+            finish[rank][col] = col_finish[rank]
+            for (vec, _), (t, _) in zip(
+                phases[rank], col_phases[rank], strict=True
+            ):
+                vec[col] = t
 
 
 def replay_grid(
     tape: Tape,
     gear_indices: Sequence[int],
     *,
-    mode: str = "grid",
     stats: ReplayStats | None = None,
 ) -> list[RunMeasurement]:
     """Revalue the tape at every gear of a grid.
 
-    ``mode="grid"`` (the default) compiles the tape once (cached on the
-    tape) and walks the whole grid as gear-axis vectors; gear columns
-    the send-order guard cannot certify are re-replayed by the scalar
-    interpreter — exact, counted in ``stats``, never silent.
-    ``mode="scalar"`` runs the PR 7 reference interpreter per gear.
+    Compiles the tape once (cached on the tape) and walks the whole grid
+    as gear-axis vectors.  Gear columns the send-order guard cannot
+    certify take their timeline from the exact scalar interpreter
+    instead — every column when the tape is ineligible for the walk or
+    the recording-gear column itself diverged — and one vectorized
+    rollup turns all columns into measurements.  ``stats`` counts where
+    each requested column's timeline came from, so narrowing is never
+    silent.
 
     The recording gear is always revalued — appended to the grid when
     absent — and checked against the recording's own event-engine
     measurements at :data:`SELF_CHECK_RTOL`; a miss rejects the tape
     (:class:`BatchUnsupported`), so a defective replay can never
-    silently ship wrong numbers for the *other* gears.  In grid mode
-    the check runs against the *vectorized* column; if that column
-    itself diverges, the whole grid falls back to the scalar path so
-    vectorized numbers never ship unchecked.
+    silently ship wrong numbers for the *other* gears.
     """
-    if mode not in ("grid", "scalar"):
-        raise ConfigurationError(
-            f"unknown replay mode {mode!r} (expected 'grid' or 'scalar')"
-        )
-    if stats is None:
-        stats = ReplayStats()
-    if mode == "scalar":
-        return _replay_grid_scalar(tape, gear_indices, stats)
-
-    compiled = _compiled(tape)
-    if not compiled.eligible:
-        assert compiled.reason is not None
-        stats.fallback_reasons.append(compiled.reason)
-        return _replay_grid_scalar(tape, gear_indices, stats)
-
     extended = list(gear_indices)
     try:
         check_col = extended.index(tape.recording_gear)
     except ValueError:
         check_col = len(extended)
         extended.append(tape.recording_gear)
+    G = len(extended)
     dur_grid = _duration_grid(tape, extended)
-    finish, phases, divergent = _vector_walk(tape, compiled, dur_grid)
-    if divergent[check_col]:
-        stats.fallback_reasons.append(
-            "recording-gear column diverged from the recorded send order; "
-            "scalar replay for the whole grid"
-        )
-        return _replay_grid_scalar(tape, gear_indices, stats)
+    compiled = _compiled(tape)
+    reason = compiled.reason
+    if reason is None:
+        finish, phases, divergent = _vector_walk(tape, compiled, dur_grid)
+        if divergent[check_col]:
+            reason = (
+                "recording-gear column diverged from the recorded send "
+                "order; scalar timelines for the whole grid"
+            )
+    else:
+        finish = [np.zeros(G) for _ in range(tape.nodes)]
+        phases = [
+            [(np.zeros(G), op[2]) for op in ops if op[0] == _OP_DSPEED]
+            for ops in tape.ops
+        ]
+    # Unvalidated vector numbers never ship: a diverged check column
+    # sends every column to the scalar interpreter.
+    scalar = np.ones(G, dtype=bool) if reason is not None else divergent
+    _scalar_timelines(
+        tape, compiled, extended, dur_grid, np.flatnonzero(scalar),
+        finish, phases,
+    )
     rollup = _rollup_vector(tape, extended, dur_grid, finish, phases)
-    # Validate the vectorized path itself before any column ships.
     _self_check(
         tape, _column_measurement(tape, tape.recording_gear, rollup, check_col)
     )
 
-    out: list[RunMeasurement] = []
-    for col, gear_index in enumerate(gear_indices):
-        if divergent[col]:
-            stats.divergent_gears += 1
-            stats.scalar_gears += 1
-            out.append(_measure_gear(tape, gear_index))
+    if stats is not None:
+        requested = scalar[: len(gear_indices)]
+        n_scalar = int(requested.sum())
+        stats.scalar_gears += n_scalar
+        stats.vector_gears += len(gear_indices) - n_scalar
+        if reason is None:
+            stats.divergent_gears += n_scalar
         else:
-            stats.vector_gears += 1
-            out.append(_column_measurement(tape, gear_index, rollup, col))
-    return out
+            stats.fallback_reasons.append(reason)
+    return [
+        _column_measurement(tape, gear_index, rollup, col)
+        for col, gear_index in enumerate(gear_indices)
+    ]
 
 
 def _self_check(tape: Tape, replay: RunMeasurement) -> None:
@@ -1636,7 +1453,6 @@ def batch_gear_grid(
     nodes: int,
     gears: Sequence[int] | None = None,
     fast_forward: "FastForwardConfig | None" = None,
-    replay_mode: str = "grid",
     stats: ReplayStats | None = None,
     tape: Tape | None = None,
 ) -> list[RunMeasurement]:
@@ -1675,7 +1491,7 @@ def batch_gear_grid(
             f"tape records {tape.workload_name!r} on {tape.nodes} node(s), "
             f"not {workload.name!r} on {nodes}"
         )
-    return replay_grid(tape, gear_indices, mode=replay_mode, stats=stats)
+    return replay_grid(tape, gear_indices, stats=stats)
 
 
 def batch_gear_sweep(
@@ -1685,7 +1501,6 @@ def batch_gear_sweep(
     nodes: int,
     gears: Sequence[int] | None = None,
     fast_forward: "FastForwardConfig | None" = None,
-    replay_mode: str = "grid",
     stats: ReplayStats | None = None,
     tape: Tape | None = None,
 ) -> EnergyTimeCurve:
@@ -1697,7 +1512,6 @@ def batch_gear_sweep(
         nodes=nodes,
         gears=gears,
         fast_forward=fast_forward,
-        replay_mode=replay_mode,
         stats=stats,
         tape=tape,
     )

@@ -29,7 +29,7 @@ from repro.exec.batch_sweep import _form_units, batch_cache_key
 from repro.exec.sweep import _auto_chunk_size, cache_key, sweep
 from repro.util.errors import ConfigurationError
 from repro.workloads.jacobi import Jacobi
-from repro.workloads.nas import EP
+from repro.workloads.nas import BT, EP, MG
 
 #: Tiny but non-degenerate workload scale for executor tests.
 SCALE = 0.03
@@ -165,6 +165,15 @@ class TestBackendSelection:
         direct = _payloads(tasks, batch_sweep(tasks))
         assert via_sweep == direct
 
+    def test_sweep_forwards_tape_cache(self, tasks, tmp_path):
+        tape_cache = TapeCache(tmp_path / "tapes")
+        via_sweep = _payloads(
+            tasks, sweep(tasks, backend="batch", tape_cache=tape_cache)
+        )
+        direct = _payloads(tasks, batch_sweep(tasks))
+        assert via_sweep == direct
+        assert len(tape_cache) == 2  # the cache saw the recordings
+
     @pytest.mark.parametrize("make", [
         lambda: Executor(backend="turbo"),
         lambda: sweep([], backend="turbo"),
@@ -251,6 +260,8 @@ class TestTapeCache:
         )
         line = report.summary()
         assert ", 0 fallback(s)" in line
+        # Zero counts are named too: 6 EP + 2 Jacobi columns, all vector.
+        assert "replay columns: 8 vector, 0 scalar (0 divergent)" in line
         assert "tape cache: 0 hit(s), 2 miss(es)" in line
         assert "stages: record" in line
         assert "replay" in line and "merge" in line
@@ -285,36 +296,52 @@ class TestTapeKey:
         assert len(keys) == 5
 
 
-class TestReplayModePlumbing:
-    def test_scalar_mode_is_equivalent_not_identical_machinery(self, tasks):
-        grid = batch_sweep(tasks)
-        scalar = batch_sweep(tasks, replay_mode="scalar")
-        for ours, theirs in zip(scalar, grid):
-            if not hasattr(ours, "time"):
-                continue  # the calibration passthrough
-            scale = max(abs(ours.time), abs(theirs.time))
-            assert abs(ours.time - theirs.time) <= 1e-9 * scale
-            scale = max(abs(ours.energy), abs(theirs.energy))
-            assert abs(ours.energy - theirs.energy) <= 1e-9 * scale
+def _rel(a: float, b: float) -> float:
+    scale = max(abs(a), abs(b))
+    return abs(a - b) / scale if scale else 0.0
 
-    def test_unknown_mode_rejected(self, tasks):
-        with pytest.raises(ConfigurationError, match="replay mode"):
-            batch_sweep(tasks, replay_mode="per-gear")
 
-    def test_sweep_forwards_replay_mode_and_tape_cache(self, tasks, tmp_path):
-        tape_cache = TapeCache(tmp_path / "tapes")
-        via_sweep = _payloads(
-            tasks,
-            sweep(
-                tasks,
-                backend="batch",
-                replay_mode="scalar",
-                tape_cache=tape_cache,
-            ),
+@pytest.fixture(scope="module")
+def narrowing_tasks(cluster):
+    """Two paper cells whose grids the send-order guard narrows: MG on
+    4 nodes keeps only its recording-gear column vectorized, BT on 4
+    nodes diverges on that column and takes scalar timelines for all."""
+    return [
+        MeasurementTask(cluster, make(0.2), nodes=4, gear=g)
+        for make in (MG, BT)
+        for g in ALL_GEARS
+    ]
+
+
+class TestReplayCoverage:
+    """Which replay path computed each column is visible in the report."""
+
+    def test_batch_sweep_agrees_with_event_runs(self, tasks):
+        for task, ours in zip(tasks, batch_sweep(tasks)):
+            theirs = task.run()
+            if isinstance(task, GearSweepTask):
+                pairs = list(zip(ours, theirs))
+            elif isinstance(task, MeasurementTask):
+                pairs = [(ours, theirs)]
+            else:
+                assert ours == theirs  # the calibration passthrough
+                continue
+            for a, b in pairs:
+                assert a.gear == b.gear
+                assert _rel(a.time, b.time) <= 1e-9
+                assert _rel(a.energy, b.energy) <= 1e-9
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_report_counts_columns_from_every_unit(self, narrowing_tasks, jobs):
+        # Pooled workers send their ReplayStats back with the results.
+        report = BatchReport()
+        batch_sweep(narrowing_tasks, jobs=jobs, report=report)
+        assert (report.vector_cols, report.scalar_cols) == (1, 11)
+        assert report.divergent_cols == 5
+        assert (
+            "0 fallback(s); replay columns: 1 vector, 11 scalar "
+            "(5 divergent)" in report.summary()
         )
-        direct = _payloads(tasks, batch_sweep(tasks, replay_mode="scalar"))
-        assert via_sweep == direct
-        assert len(tape_cache) == 2  # the cache saw the recordings
 
 
 class TestExecutorTapeCache:

@@ -6,7 +6,10 @@ The contract under test: a gear grid revalued from one recorded tape
 steady-state fast-forward on the recording; and any certification
 failure — a signature deviation during the recording, for instance —
 refuses the tape loudly, so the exec layer's fallback reruns the points
-on the event engine, bitwise what a plain sweep produces.
+on the event engine, bitwise what a plain sweep produces.  Every grid is
+also checked against the per-gear scalar oracle (:mod:`tests.sim.oracle`),
+and the paper cells where the vectorized walk narrows are pinned to the
+column split they take.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from repro.cluster.machines import athlon_cluster
 from repro.core.run import gear_sweep, run_workload
 from repro.mpi import FastForwardConfig
 from repro.mpi.comm import Comm
+from repro.sim import batch as batch_module
 from repro.sim.batch import (
     BatchUnsupported,
     ReplayStats,
@@ -42,6 +46,7 @@ from repro.workloads import (
     SyntheticMemoryPressure,
 )
 from repro.workloads.base import CommScheme, Program, Workload, WorkloadSpec
+from tests.sim.oracle import oracle_grid
 
 #: Relative tolerance the equivalence grid asserts (the acceptance bar;
 #: observed error stays orders of magnitude below — the replay mirrors
@@ -62,10 +67,11 @@ def _assert_grid_equivalent(
 ):
     """Batch grid vs one event run per gear, three quantities each.
 
-    One recording backs both replay modes, so this also pins the
-    tentpole's own contract: the vectorized gear-axis walk agrees with
-    the scalar reference interpreter at the same tolerance, for every
-    workload and gear, and the mode accounting covers the whole grid.
+    One recording backs both the batch grid and the per-gear scalar
+    oracle, so this also pins the grid replay's own contract: it agrees
+    with the oracle at the same tolerance, for every workload and gear,
+    and the column accounting covers the whole grid.  Returns the
+    grid's :class:`ReplayStats`.
     """
     tape = record_tape(
         cluster, workload, nodes=nodes, gear=gears[0], fast_forward=fast_forward
@@ -76,16 +82,13 @@ def _assert_grid_equivalent(
         workload,
         nodes=nodes,
         gears=gears,
-        replay_mode="grid",
         stats=stats,
         tape=tape,
     )
-    scalar = batch_gear_grid(
-        cluster, workload, nodes=nodes, gears=gears, replay_mode="scalar", tape=tape
-    )
+    oracle = oracle_grid(tape, gears)
     assert len(batch) == len(gears)
     assert stats.vector_gears + stats.scalar_gears == len(gears)
-    for gear, measurement, reference in zip(gears, batch, scalar):
+    for gear, measurement, reference in zip(gears, batch, oracle):
         event = run_workload(
             cluster, workload, nodes=nodes, gear=gear, fast_forward=fast_forward
         )
@@ -97,6 +100,7 @@ def _assert_grid_equivalent(
         assert _rel(reference.time, measurement.time) <= RTOL
         assert _rel(reference.energy, measurement.energy) <= RTOL
         assert _rel(reference.active_time, measurement.active_time) <= RTOL
+    return stats
 
 
 class TestEquivalenceGrid:
@@ -165,7 +169,7 @@ class TestEquivalenceGrid:
 
 
 class TestVectorizedReplay:
-    """Mode accounting and rejection semantics of the gear-axis walk."""
+    """Column accounting and rejection semantics of the gear-axis walk."""
 
     def test_jacobi_grid_is_fully_vectorized(self, cluster):
         # The dense steady workload the bench ratchet gates on: every
@@ -173,29 +177,81 @@ class TestVectorizedReplay:
         # re-replay or divergence guard firing here is a regression.
         tape = record_tape(cluster, Jacobi(0.2), nodes=4, gear=1)
         stats = ReplayStats()
-        replay_grid(tape, list(ALL_GEARS), mode="grid", stats=stats)
+        replay_grid(tape, list(ALL_GEARS), stats=stats)
         assert stats.vector_gears == len(ALL_GEARS)
         assert stats.scalar_gears == 0
         assert stats.divergent_gears == 0
         assert stats.fallback_reasons == []
 
-    def test_unknown_mode_rejected(self, cluster):
-        from repro.util.errors import ConfigurationError
-
-        tape = record_tape(cluster, Jacobi(0.2), nodes=2, gear=1)
-        with pytest.raises(ConfigurationError, match="replay mode"):
-            replay_grid(tape, [1, 2], mode="per-gear")
-
-    @pytest.mark.parametrize("mode", ["grid", "scalar"])
-    def test_self_check_miss_rejects_whole_tape(self, cluster, mode):
+    # The recording-gear column's timeline comes off the vectorized walk
+    # for Jacobi and off the scalar interpreter for BT on 4 nodes, whose
+    # check column diverges from the recorded send order.
+    @pytest.mark.parametrize(
+        "timeline,make",
+        [("grid", Jacobi), ("scalar", BT)],
+        ids=["grid", "scalar"],
+    )
+    def test_self_check_miss_rejects_whole_tape(self, cluster, timeline, make):
         # A tape whose recorded totals no longer match its own replay —
         # bitrot, a stale cache entry surviving a model change — must
-        # reject in BOTH modes; the vectorized path may never ship
-        # numbers the recording gear cannot vouch for.
-        tape = record_tape(cluster, Jacobi(0.2), nodes=4, gear=1)
+        # reject whichever path the check column's timeline took; the
+        # grid may never ship numbers the recording gear cannot vouch for.
+        tape = record_tape(cluster, make(0.2), nodes=4, gear=1)
+        stats = ReplayStats()
+        replay_grid(tape, list(ALL_GEARS), stats=stats)
+        assert bool(stats.fallback_reasons) == (timeline == "scalar")
         tape.recording_energy *= 1.0 + 1e-6
         with pytest.raises(BatchUnsupported, match="self-check"):
-            replay_grid(tape, list(ALL_GEARS), mode=mode)
+            replay_grid(tape, list(ALL_GEARS))
+
+
+class TestScalarTimelineFallback:
+    """Paper cells where the send-order guard narrows the vector walk.
+
+    Narrowed columns take their timeline from the scalar interpreter
+    and share the one vectorized rollup; the numbers must still agree
+    with the event engine and the per-gear oracle at 1e-9, and the
+    split must be exactly the one the guard takes today.
+    """
+
+    def test_partial_narrowing_mg(self, cluster):
+        # MG on 4 nodes: only the recording-gear column certifies.
+        stats = _assert_grid_equivalent(cluster, MG(1.0), nodes=4)
+        assert (stats.vector_gears, stats.scalar_gears) == (1, 5)
+        assert stats.divergent_gears == 5
+        assert stats.fallback_reasons == []
+
+    def test_whole_grid_bt(self, cluster):
+        # BT on 4 nodes: the recording-gear column itself diverges, so
+        # every column takes its timeline from the scalar interpreter.
+        stats = _assert_grid_equivalent(cluster, BT(1.0), nodes=4)
+        assert (stats.vector_gears, stats.scalar_gears) == (0, 6)
+        assert stats.divergent_gears == 0
+        assert len(stats.fallback_reasons) == 1
+        assert "recording-gear column diverged" in stats.fallback_reasons[0]
+
+    def test_recording_gear_is_replayed_once(self, cluster, monkeypatch):
+        # The compile-time replay that derives the schedule is the
+        # recording-gear column's fallback timeline: a whole-grid
+        # fallback runs the scalar interpreter once per gear, no more.
+        tape = record_tape(cluster, BT(1.0), nodes=4, gear=1)
+        calls = []
+        replay_gear = batch_module._replay_gear
+
+        def counting(tape, durations, trace=None):
+            calls.append(trace is not None)
+            return replay_gear(tape, durations, trace)
+
+        monkeypatch.setattr(batch_module, "_replay_gear", counting)
+        stats = ReplayStats()
+        replay_grid(tape, list(ALL_GEARS), stats=stats)
+        assert stats.scalar_gears == len(ALL_GEARS)
+        assert len(calls) == len(ALL_GEARS)
+        assert calls.count(True) == 1  # the instrumented compile replay
+        # A warm tape reuses the compiled timeline: one call fewer.
+        calls.clear()
+        replay_grid(tape, list(ALL_GEARS))
+        assert len(calls) == len(ALL_GEARS) - 1
 
 
 class _DeviatingRing(Workload):

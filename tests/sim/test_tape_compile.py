@@ -1,17 +1,16 @@
-"""Tape compilation and serialization are exact, invertible encodings.
+"""Tape serialization is an exact, invertible encoding.
 
-Two representation changes sit between a recording and the vectorized
-replay that revalues it: the op tuples are compiled into SoA columns
-(:func:`compile_columns`), and — when the tape travels through the
-persistent tape cache — the whole tape round-trips JSON
-(:func:`tape_to_payload` / :func:`tape_from_payload`).  Neither step is
-allowed to lose a bit: the columns must reconstruct the tuple stream
-value-for-value, and a deserialized tape must replay bitwise
-identically to the one that was recorded.
+When a tape travels through the persistent tape cache it round-trips
+JSON (:func:`tape_to_payload` / :func:`tape_from_payload`).  That step
+is not allowed to lose a bit: every op field must come back with its
+type and value — int64-range ints, bools, and float64 down to the sign
+of zero — and a deserialized tape must replay bitwise identically to
+the one that was recorded.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -29,21 +28,19 @@ from repro.sim.batch import (
     _OP_SEND,
     _OP_WAIT,
     TAPE_FORMAT_VERSION,
-    columns_to_ops,
-    compile_columns,
     record_tape,
     replay_grid,
     tape_from_payload,
     tape_to_payload,
 )
-from repro.workloads import CG, Jacobi
+from repro.workloads import Jacobi
 
 ALL_GEARS = (1, 2, 3, 4, 5, 6)
 
-# Parameter strategies span the lanes' real ranges: rank/tag/slot-like
-# ints stay small, byte counts reach well into int64, and float lanes
-# take any finite float64 (the columns must not round, clamp, or lose
-# sign anywhere).
+# Parameter strategies span the op fields' real ranges: rank/tag/slot-
+# like ints stay small, byte counts reach well into int64, and float
+# fields take any finite float64 (serialization must not round, clamp,
+# or lose sign anywhere).
 _small_int = st.integers(min_value=0, max_value=10_000)
 _byte_count = st.integers(min_value=0, max_value=2**62)
 _seconds = st.floats(allow_nan=False, allow_infinity=False, width=64)
@@ -69,36 +66,32 @@ _ops = st.lists(
 )
 
 
-class TestColumnRoundTrip:
-    """compile_columns / columns_to_ops are exact inverses."""
+def _exact(op: tuple) -> tuple:
+    """An op's fields as (type, value) with floats by their bits, so
+    ``True`` never passes for ``1`` nor ``-0.0`` for ``0.0``."""
+    return tuple(
+        (type(v).__name__, v.hex() if isinstance(v, float) else v)
+        for v in op
+    )
 
-    @given(ops=_ops)
-    @settings(max_examples=200, deadline=None)
-    def test_arbitrary_op_streams_round_trip(self, ops):
-        columns = compile_columns(ops)
-        assert columns.codes.shape == (len(ops),)
-        assert columns.codes.dtype == np.int64
-        assert columns.ints.dtype == np.int64
-        assert columns.floats.dtype == np.float64
-        restored = columns_to_ops(columns)
-        assert restored == ops
-        # Python's True == 1 makes plain equality too forgiving for the
-        # SEND same-node flag; the decoded lane must come back as bool.
-        for op in restored:
-            if op[0] == _OP_SEND:
-                assert isinstance(op[4], bool)
 
-    def test_recorded_tapes_round_trip(self, cluster):
-        # Real recordings exercise every opcode interleaving the
-        # generator above cannot know about (iteration marks around
-        # halo exchanges, reduction fan-ins, ...).
-        tape = record_tape(cluster, CG(0.5), nodes=2, gear=1)
-        for rank_ops in tape.ops:
-            assert columns_to_ops(compile_columns(rank_ops)) == rank_ops
+@pytest.fixture(scope="module")
+def small_tape(cluster):
+    return record_tape(cluster, Jacobi(0.03), nodes=1, gear=1)
 
 
 class TestPayloadRoundTrip:
     """Tape JSON serialization is bitwise lossless."""
+
+    @given(ops=_ops)
+    @settings(max_examples=200, deadline=None)
+    def test_arbitrary_op_streams_round_trip(self, cluster, small_tape, ops):
+        tape = dataclasses.replace(small_tape, ops=[ops])
+        wire = json.dumps(tape_to_payload(tape))
+        restored = tape_from_payload(cluster, json.loads(wire))
+        assert [_exact(op) for op in restored.ops[0]] == [
+            _exact(op) for op in ops
+        ]
 
     def test_payload_survives_json_and_replays_bitwise(self, cluster):
         tape = record_tape(cluster, Jacobi(0.2), nodes=4, gear=1)
