@@ -16,7 +16,6 @@ the experiment harness (``repro.experiments``) passes around.
 from repro.exec.batch_sweep import (
     BatchFallback,
     BatchReport,
-    batch_sweep,
     tape_key,
 )
 from repro.exec.cache import (
@@ -52,7 +51,6 @@ __all__ = [
     "SimTask",
     "TapeCache",
     "TaskTiming",
-    "batch_sweep",
     "code_version_token",
     "default_cache_dir",
     "default_tape_dir",

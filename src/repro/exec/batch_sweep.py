@@ -1,61 +1,46 @@
-"""Batch-backend sweeps: group points, record once, replay the grid.
+"""Batch-backend units for :func:`repro.exec.sweep.sweep`: record once, replay the grid.
 
-The event-engine :func:`repro.exec.sweep.sweep` treats every point as an
-independent simulation.  This module is its batch twin: points that
-share a recording — a :class:`~repro.exec.tasks.GearSweepTask` (one
-recording covers its whole gear grid) or several
-:class:`~repro.exec.tasks.MeasurementTask` points differing only in
-gear — are folded into one *batch group* and executed through
+Under ``sweep(..., backend="batch")`` points that share a recording — a
+:class:`~repro.exec.tasks.GearSweepTask` (one recording covers its whole
+gear grid) or several :class:`~repro.exec.tasks.MeasurementTask` points
+differing only in gear — form one *unit* executed through
 :mod:`repro.sim.batch`: one recording run plus a cheap replay per gear.
+Units form by first occurrence; the sweep's deterministic merge, cache
+lookups, failure naming and unit chunking apply unchanged.  What the
+batch backend adds:
 
-The sweep contract is unchanged:
-
-- **Deterministic merge** — results return in task order; groups are
-  formed by first occurrence and their results are scattered back to
-  the original positions, so a batch sweep's output lines up 1:1 with
-  an event sweep's.
-- **Cache transparency** — every point is looked up/stored under a key
-  whose fingerprint carries a ``"backend": "batch"`` token, so batch
-  results (1e-9-equivalent, not bitwise) never share cache entries with
-  event results.  Partial hits shrink a group to its misses; the
-  recording is still shared across them.
-- **Failure naming** — exceptions name the failing point's key exactly
-  like the event path.
+- **Own cache keys** — batch-computed points are keyed by
+  :func:`batch_cache_key`, whose fingerprint carries a
+  ``"backend": "batch"`` token, so batch results (1e-9-equivalent, not
+  bitwise) never share cache entries with event results.  Partial hits
+  shrink a group to its misses; the recording is still shared across
+  them.
 - **Exact fallback** — any :class:`~repro.sim.batch.BatchUnsupported`
   (uncertifiable structure, self-check miss) reruns the group's points
   on the event engine, bitwise what a plain run produces, and logs the
   group in the :class:`BatchReport` so truncated batch coverage is
   never silent.
-
-Group-aware dispatch: with ``jobs > 1`` the pool chunks over *groups*,
-not points — :func:`repro.exec.sweep._auto_chunk_size` is applied to the
-group count, so one recording is never split across workers and a sweep
-of few large groups still fans out group-per-worker.
-
-Recordings are the serial bottleneck once replay is vectorized, so they
-are handled as a stage of their own:
-
-- **Tape cache** — with ``tape_cache`` set, every batch group's
-  recording is serialized (:func:`repro.sim.batch.tape_to_payload`)
-  into a persistent :class:`~repro.exec.cache.TapeCache` under
-  :func:`tape_key` — the fingerprint of the group's configuration
-  *minus the gear axis* plus the recording gear, the code-version
-  token, and the tape format version.  Later sweeps (same process or
-  not) deserialize instead of re-recording; the replay-time self-check
-  still runs on every loaded tape, so a stale or corrupt entry rejects
-  itself into the exact event fallback.
+- **Tape cache** — with ``tape_cache`` set, every group's recording is
+  serialized (:func:`repro.sim.batch.tape_to_payload`) into a persistent
+  :class:`~repro.exec.cache.TapeCache` under :func:`tape_key` — the
+  fingerprint of the group's configuration *minus the gear axis* plus
+  the recording gear, the code-version token, and the tape format
+  version.  Later sweeps (same process or not) deserialize instead of
+  re-recording; the replay-time self-check still runs on every loaded
+  tape, so a stale or corrupt entry rejects itself into the exact event
+  fallback.
 - **Parallel recording** — with ``jobs > 1`` the missing tapes are
   recorded first, one pool task per distinct tape key, before any unit
-  chunk is dispatched; units then load their tape from the cache (an
-  ephemeral sweep-local store when no ``tape_cache`` was given).  A
-  sweep of N groups thus records N-wide instead of chunk-by-chunk.
+  chunk is dispatched; units then load their tape from the store (an
+  ephemeral sweep-local one when no ``tape_cache`` was given).  A sweep
+  of N groups thus records N-wide instead of chunk-by-chunk.
 - **Stage timings** — :class:`BatchReport` splits the wall into
   record/replay/merge so the dominant stage is visible in the CLI
   summary and the bench harness.
 
 Tasks that cannot batch (calibration, policy runs — their structure is
-gear-dependent by design) pass through on the event engine with their
-normal cache keys, inside the same deterministic merge.
+gear-dependent by design) pass through as singleton event-engine units
+with their normal cache keys.
 """
 
 from __future__ import annotations
@@ -66,12 +51,11 @@ from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, ClassVar, Sequence
 
-from repro.exec.cache import ResultCache, TapeCache
+from repro.exec.cache import TapeCache
 from repro.exec.fingerprint import code_version_token, fingerprint
-from repro.exec.profile import SOURCE_CACHE, SOURCE_RUN, ExecProfile, TaskTiming
-from repro.exec.sweep import _auto_chunk_size, _ff_skipped, _point_error, cache_key
+from repro.exec.sweep import _ff_skipped, _point_error, _Unit, cache_key
 from repro.exec.tasks import GearSweepTask, MeasurementTask, SimTask
 from repro.util.errors import ConfigurationError
 
@@ -84,6 +68,15 @@ BACKEND_TOKEN = "batch"
 BACKENDS = ("event", "batch")
 
 
+def check_backend(backend: str) -> None:
+    """Reject a backend name outside :data:`BACKENDS`."""
+    if backend not in BACKENDS:
+        known = ", ".join(repr(b) for b in BACKENDS)
+        raise ConfigurationError(
+            f"unknown backend {backend!r}; choose from {known}"
+        )
+
+
 def batch_cache_key(task: SimTask) -> str:
     """Cache key of a point executed through the batch backend."""
     return fingerprint(
@@ -93,6 +86,17 @@ def batch_cache_key(task: SimTask) -> str:
             "backend": BACKEND_TOKEN,
         }
     )
+
+
+def point_key(task: SimTask) -> str:
+    """Result-cache key of a point in a batch-backend sweep.
+
+    Batchable kinds take :func:`batch_cache_key`; passthrough kinds run
+    on the event engine and keep their event key.
+    """
+    if type(task) in (GearSweepTask, MeasurementTask):
+        return batch_cache_key(task)
+    return cache_key(task)
 
 
 def _recording_gear(task: SimTask) -> int:
@@ -232,26 +236,98 @@ class BatchReport:
 
 
 @dataclass
-class _Unit:
-    """One execution unit: a batch group or a single passthrough task."""
+class _BatchUnit(_Unit):
+    """A batch group: points sharing one recording, replayed as a grid."""
 
-    tasks: list[SimTask]
-    #: Positions of each task in the pending list (for the merge).
-    indices: list[int]
-    batch: bool
-    #: Persistent-cache key of the group's tape (batch units only).
-    tape_key: str | None = None
-    #: Gear the group's recording runs at (batch units only).
-    rec_gear: int | None = None
+    batch: ClassVar[bool] = True
+    #: Gear the group's recording runs at.
+    rec_gear: int = 0
+    #: Persistent-cache key of the group's tape.
+    tape_key: str = ""
+    #: Store the tape is loaded from and stored into (None: unit-local).
+    tape_root: Path | None = None
     #: Certification failure from the parallel-recording phase; set on
     #: every unit sharing the failed tape so each falls back without
     #: re-attempting the recording.
     prefail: str | None = None
-    #: Warm-phase recording seconds attributed to this unit (first
-    #: owner of a freshly recorded tape) for profile-row accounting.
-    warm_s: float = 0.0
-    #: Warm-phase fast-forwarded iterations attributed likewise.
-    warm_skipped: int = 0
+
+    def run(self, observer: Any = None) -> tuple[list[Any], Any]:
+        """Load or record the group's tape, then replay its gear grid.
+
+        Returns (results, (fallback reason, recording seconds, replay
+        seconds, :class:`~repro.sim.batch.ReplayStats`)).  Any :class:`~repro.sim.batch.BatchUnsupported` — from
+        certification, from the recording-gear self-check, or carried
+        in as ``prefail`` — downgrades the whole unit to per-point
+        event-engine runs, which are exact by definition.
+        """
+        from repro.sim.batch import (
+            BatchUnsupported,
+            ReplayStats,
+            batch_gear_grid,
+            batch_gear_sweep,
+        )
+
+        stats = ReplayStats()
+        if self.prefail is not None:
+            return [t.run() for t in self.tasks], (self.prefail, 0.0, 0.0, stats)
+        first: Any = self.tasks[0]
+        record_s = 0.0
+        try:
+            tape = None
+            if self.tape_root is not None:
+                tape = _load_tape(first.cluster, self.tape_root, self.tape_key)
+            if tape is None:
+                tape, record_s = _record(
+                    first, self.rec_gear, self.tape_root, self.tape_key
+                )
+            replay_start = time.perf_counter()
+            if type(first) is GearSweepTask:
+                results: list[Any] = [
+                    batch_gear_sweep(
+                        first.cluster,
+                        first.workload,
+                        nodes=first.nodes,
+                        gears=first.gears,
+                        fast_forward=first.fast_forward,
+                        stats=stats,
+                        tape=tape,
+                    )
+                ]
+            else:
+                results = list(
+                    batch_gear_grid(
+                        first.cluster,
+                        first.workload,
+                        nodes=first.nodes,
+                        gears=[t.gear for t in self.tasks],  # type: ignore[attr-defined]
+                        fast_forward=first.fast_forward,
+                        stats=stats,
+                        tape=tape,
+                    )
+                )
+            replay_s = time.perf_counter() - replay_start
+            return results, (None, record_s, replay_s, stats)
+        except BatchUnsupported as exc:
+            # replay_grid counts only grids that passed the self-check.
+            return [t.run() for t in self.tasks], (str(exc), record_s, 0.0, stats)
+
+    def account(self, outcome: Any, report: BatchReport | None) -> None:
+        if report is None:
+            return
+        fallback, record_s, replay_s, stats = outcome
+        report.record_s += record_s
+        report.replay_s += replay_s
+        report.vector_cols += stats.vector_gears
+        report.scalar_cols += stats.scalar_gears
+        report.divergent_cols += stats.divergent_gears
+        if fallback is not None:
+            report.fallbacks.append(
+                BatchFallback(
+                    point=str(self.tasks[0].key),
+                    points=len(self.tasks),
+                    reason=fallback,
+                )
+            )
 
 
 def _group_token(task: SimTask) -> tuple | None:
@@ -275,22 +351,25 @@ def _group_token(task: SimTask) -> tuple | None:
 def _form_units(pending: Sequence[tuple[SimTask, str | None]]) -> list[_Unit]:
     """Partition pending points into execution units, in first-seen order."""
     units: list[_Unit] = []
-    by_token: dict[tuple, _Unit] = {}
+    by_token: dict[tuple, _BatchUnit] = {}
     for index, (task, _) in enumerate(pending):
         if type(task) is GearSweepTask:
-            units.append(_Unit([task], [index], batch=True))
+            units.append(_BatchUnit([task], [index]))
             continue
         token = _group_token(task)
         if token is None:
-            units.append(_Unit([task], [index], batch=False))
+            units.append(_Unit([task], [index]))
             continue
         unit = by_token.get(token)
         if unit is None:
-            unit = _Unit([], [], batch=True)
-            by_token[token] = unit
+            unit = by_token[token] = _BatchUnit([], [])
             units.append(unit)
         unit.tasks.append(task)
         unit.indices.append(index)
+    for unit in units:
+        if unit.batch:
+            unit.rec_gear = _recording_gear(unit.tasks[0])
+            unit.tape_key = tape_key(unit.tasks[0], unit.rec_gear)
     return units
 
 
@@ -314,548 +393,157 @@ def _load_tape(cluster: Any, tape_root: Path, key: str) -> Any | None:
         return None
 
 
+def _record(
+    task: SimTask, rec_gear: int, tape_root: Path | None, key: str
+) -> tuple[Any, float]:
+    """Record the tape of a group led by ``task``; store it if a store is set.
+
+    Returns (tape, seconds spent recording and storing).  Raises
+    :class:`~repro.sim.batch.BatchUnsupported` when the recording cannot
+    be certified.
+    """
+    from repro.sim.batch import record_tape, tape_to_payload
+
+    start = time.perf_counter()
+    tape = record_tape(
+        task.cluster,  # type: ignore[attr-defined]
+        task.workload,  # type: ignore[attr-defined]
+        nodes=task.nodes,  # type: ignore[attr-defined]
+        gear=rec_gear,
+        fast_forward=getattr(task, "fast_forward", None),
+    )
+    if tape_root is not None:
+        TapeCache(tape_root).store(key, tape_to_payload(tape))
+    return tape, time.perf_counter() - start
+
+
 def _record_tape_job(
     task: SimTask, rec_gear: int, tape_root: Path, key: str
 ) -> tuple[str | None, float, int]:
-    """Record one group's tape into the cache (parallel-recording phase).
+    """Record one group's tape into the store (parallel-recording phase).
 
-    Returns (certification-failure reason or None, in-worker recording
-    seconds, fast-forwarded iterations) — plain values so the tuple
-    pickles back from a pool worker.
+    Returns (certification-failure reason or None, in-worker seconds,
+    fast-forwarded iterations) — plain values so the tuple pickles back
+    from a pool worker.
     """
-    from repro.sim.batch import BatchUnsupported, record_tape, tape_to_payload
+    from repro.sim.batch import BatchUnsupported
 
     start = time.perf_counter()
     skipped_before = _ff_skipped(task)
     try:
-        tape = record_tape(
-            task.cluster,  # type: ignore[attr-defined]
-            task.workload,  # type: ignore[attr-defined]
-            nodes=task.nodes,  # type: ignore[attr-defined]
-            gear=rec_gear,
-            fast_forward=getattr(task, "fast_forward", None),
-        )
+        _record(task, rec_gear, tape_root, key)
+        fail = None
     except BatchUnsupported as exc:
-        return (
-            str(exc),
-            time.perf_counter() - start,
-            _ff_skipped(task) - skipped_before,
-        )
-    TapeCache(tape_root).store(key, tape_to_payload(tape))
-    return (
-        None,
-        time.perf_counter() - start,
-        _ff_skipped(task) - skipped_before,
-    )
+        fail = str(exc)
+    return fail, time.perf_counter() - start, _ff_skipped(task) - skipped_before
 
 
-def _run_unit(
-    tasks: Sequence[SimTask],
-    batch: bool,
-    *,
-    tape_root: Path | None = None,
-    tape_key: str | None = None,
-    prefail: str | None = None,
-) -> tuple[list[Any], str | None, float, float, Any]:
-    """Execute one unit.
+def _prepare_units(
+    units: Sequence[_Unit],
+    report: BatchReport | None,
+    tape_cache: TapeCache | None,
+    pooled: bool,
+    stack: ExitStack,
+) -> _TapeWarmup | None:
+    """Count the units into ``report`` and attach their tape store.
 
-    Returns (results in task order, fallback reason, recording seconds,
-    replay seconds, :class:`~repro.sim.batch.ReplayStats` — all zero
-    unless the unit's grid replay shipped).  Any
-    :class:`~repro.sim.batch.BatchUnsupported` — from certification,
-    from the recording-gear self-check, or carried in as ``prefail``
-    from the parallel-recording phase — downgrades the whole unit to
-    per-point event-engine runs, which are exact by definition.  With a
-    tape store available the recording is loaded from it when present
-    and stored into it when fresh.
+    Returns the parallel-recording phase a pooled sweep runs first, or
+    None when no tape is missing (or the sweep runs inline).
     """
-    from repro.sim.batch import (
-        BatchUnsupported,
-        ReplayStats,
-        batch_gear_grid,
-        batch_gear_sweep,
-        record_tape,
-        tape_to_payload,
-    )
-
-    stats = ReplayStats()
-    if not batch:
-        return [task.run() for task in tasks], None, 0.0, 0.0, stats
-    if prefail is not None:
-        return [task.run() for task in tasks], prefail, 0.0, 0.0, stats
-    first = tasks[0]
-    record_s = 0.0
-    try:
-        tape = None
-        if tape_root is not None and tape_key is not None:
-            tape = _load_tape(first.cluster, tape_root, tape_key)  # type: ignore[attr-defined]
-        if tape is None:
-            rec_start = time.perf_counter()
-            tape = record_tape(
-                first.cluster,  # type: ignore[attr-defined]
-                first.workload,  # type: ignore[attr-defined]
-                nodes=first.nodes,  # type: ignore[attr-defined]
-                gear=_recording_gear(first),
-                fast_forward=getattr(first, "fast_forward", None),
-            )
-            record_s = time.perf_counter() - rec_start
-            if tape_root is not None and tape_key is not None:
-                TapeCache(tape_root).store(tape_key, tape_to_payload(tape))
-        replay_start = time.perf_counter()
-        if type(first) is GearSweepTask:
-            results: list[Any] = [
-                batch_gear_sweep(
-                    first.cluster,
-                    first.workload,
-                    nodes=first.nodes,
-                    gears=first.gears,
-                    fast_forward=first.fast_forward,
-                    stats=stats,
-                    tape=tape,
-                )
-            ]
-        else:
-            results = list(
-                batch_gear_grid(
-                    first.cluster,  # type: ignore[attr-defined]
-                    first.workload,  # type: ignore[attr-defined]
-                    nodes=first.nodes,  # type: ignore[attr-defined]
-                    gears=[t.gear for t in tasks],  # type: ignore[union-attr]
-                    fast_forward=getattr(first, "fast_forward", None),
-                    stats=stats,
-                    tape=tape,
-                )
-            )
-        return results, None, record_s, time.perf_counter() - replay_start, stats
-    except BatchUnsupported as exc:
-        # replay_grid counts only grids that passed the self-check.
-        return [task.run() for task in tasks], str(exc), record_s, 0.0, stats
-
-
-class _UnitPointError(Exception):
-    """A unit failed in a worker; carries chunk-local coordinates.
-
-    Built from plain ``args`` so it pickles across the process boundary.
-    """
-
-    def __init__(self, unit_index: int, cause: BaseException):
-        super().__init__(unit_index, cause)
-        self.unit_index = unit_index
-        self.cause = cause
-
-
-def _execute_unit_chunk(
-    chunk: Sequence[tuple[list[SimTask], bool, str | None, str | None]],
-    tape_root: Path | None = None,
-) -> list[tuple[list[Any], str | None, float, int, float, float, Any]]:
-    """Run a chunk of units in one worker call.
-
-    Per unit: (results, fallback reason, in-worker wall seconds,
-    fast-forwarded iterations, recording seconds, replay seconds, replay
-    stats) — mirrors the event pool's in-worker accounting so IPC and
-    startup stay excluded.
-    """
-    out = []
-    for index, (tasks, batch, key, prefail) in enumerate(chunk):
-        start = time.perf_counter()
-        skipped_before = _ff_skipped(tasks[0])
-        try:
-            results, fallback, record_s, replay_s, stats = _run_unit(
-                tasks,
-                batch,
-                tape_root=tape_root,
-                tape_key=key,
-                prefail=prefail,
-            )
-        except Exception as exc:
-            raise _UnitPointError(index, exc) from exc
-        out.append(
-            (
-                results,
-                fallback,
-                time.perf_counter() - start,
-                _ff_skipped(tasks[0]) - skipped_before,
-                record_s,
-                replay_s,
-                stats,
-            )
-        )
-    return out
-
-
-def batch_sweep(
-    tasks: Iterable[SimTask],
-    *,
-    jobs: int = 1,
-    cache: ResultCache | None = None,
-    profile: ExecProfile | None = None,
-    chunk_size: int | None = None,
-    report: BatchReport | None = None,
-    tape_cache: TapeCache | None = None,
-) -> list[Any]:
-    """The batch-backend twin of :func:`repro.exec.sweep.sweep`.
-
-    Same arguments and guarantees, minus ``observer`` (observed sweeps
-    are routed to the event path by ``sweep`` itself — a replayed tape
-    produces no events to observe).  ``report`` accumulates grouping,
-    fallback, tape-cache, and stage-timing accounting across calls when
-    provided, including how many replayed gear columns came off the
-    vectorized walk versus the scalar interpreter.
-
-    Args:
-        tape_cache: optional persistent store of serialized recordings;
-            groups whose tape is present skip re-recording entirely
-            (across processes and executor invocations — the key pins
-            configuration, recording gear, and code version), and fresh
-            recordings are stored for the next sweep.  ``None`` keeps
-            recordings sweep-local (a temporary store still backs the
-            parallel-recording phase when ``jobs > 1``).
-    """
-    ordered: Sequence[SimTask] = list(tasks)
-    if jobs < 1:
-        raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
-    if chunk_size is not None and chunk_size < 1:
-        raise ConfigurationError(f"chunk_size must be >= 1, got {chunk_size}")
-    seen: set[tuple] = set()
-    for task in ordered:
-        if task.key in seen:
-            raise ConfigurationError(f"duplicate sweep point key {task.key!r}")
-        seen.add(task.key)
-
-    sweep_start = time.perf_counter()
-    results: dict[tuple, Any] = {}
-    pending: list[tuple[SimTask, str | None]] = []
-    lookups: dict[tuple, float] = {}
-    for task in ordered:
-        if cache is not None:
-            lookup_start = time.perf_counter()
-            batchable = type(task) in (GearSweepTask, MeasurementTask)
-            key = batch_cache_key(task) if batchable else cache_key(task)
-            payload = cache.load(key)
-            lookup_s = time.perf_counter() - lookup_start
-            if payload is not None:
-                results[task.key] = task.decode(payload)
-                if profile is not None:
-                    profile.add(
-                        TaskTiming(
-                            key=str(task.key),
-                            source=SOURCE_CACHE,
-                            seconds=0.0,
-                            lookup_s=lookup_s,
-                        )
-                    )
-                continue
-            lookups[task.key] = lookup_s
-            pending.append((task, key))
-        else:
-            pending.append((task, None))
-
-    units = _form_units(pending)
-    for unit in units:
-        if unit.batch:
-            unit.rec_gear = _recording_gear(unit.tasks[0])
-            unit.tape_key = tape_key(unit.tasks[0], unit.rec_gear)
+    groups = [unit for unit in units if unit.batch]
     if report is not None:
-        for unit in units:
-            if unit.batch:
-                report.groups += 1
-                report.grouped_points += len(unit.tasks)
-            else:
-                report.passthrough_points += len(unit.tasks)
+        report.groups += len(groups)
+        report.grouped_points += sum(len(unit.tasks) for unit in groups)
+        report.passthrough_points += len(units) - len(groups)
         if tape_cache is not None:
             # Parent-side hit/miss attribution, counted per distinct
             # tape (cross-kind units can share one) before anything
             # runs — workers rebuild their own cache handles, so their
             # CacheStats never travel back.
             report.tape_cache_enabled = True
-            counted: set[str] = set()
-            for unit in units:
-                if not unit.batch or unit.tape_key in counted:
-                    continue
-                counted.add(unit.tape_key)  # type: ignore[arg-type]
-                if tape_cache.contains(unit.tape_key):  # type: ignore[arg-type]
-                    report.tape_hits += 1
-                else:
-                    report.tape_misses += 1
-
-    tape_root = Path(tape_cache.root) if tape_cache is not None else None
-    computed: list[Any] = [None] * len(pending)
-    if jobs > 1 and len(units) > 1:
-        # Group-aware chunking: size the chunks on the number of UNITS,
-        # never points — a unit's recording is one indivisible run, so a
-        # sweep of few large groups still spreads group-per-worker
-        # instead of splitting a recording (or idling the pool).
-        size = chunk_size or _auto_chunk_size(len(units), jobs)
-        with ExitStack() as stack:
-            pool_root = tape_root
-            if pool_root is None and any(unit.batch for unit in units):
-                # No persistent cache: an ephemeral sweep-local store
-                # still lets the parallel-recording phase hand tapes to
-                # the unit workers without a second IPC round-trip.
-                pool_root = Path(
-                    stack.enter_context(
-                        tempfile.TemporaryDirectory(prefix="repro-tapes-")
-                    )
-                )
-            _run_units_pool(
-                units,
-                jobs,
-                size,
-                computed,
-                profile,
-                report,
-                pool_root,
-            )
-    else:
-        for unit in units:
-            start = time.perf_counter()
-            skipped_before = _ff_skipped(unit.tasks[0])
-            try:
-                unit_results, fallback, record_s, replay_s, stats = _run_unit(
-                    unit.tasks,
-                    unit.batch,
-                    tape_root=tape_root,
-                    tape_key=unit.tape_key,
-                )
-            except Exception as exc:
-                raise _point_error(unit.tasks[0], exc) from exc
-            _merge_unit(
-                unit,
-                unit_results,
-                fallback,
-                time.perf_counter() - start,
-                _ff_skipped(unit.tasks[0]) - skipped_before,
-                computed,
-                profile,
-                report,
-                record_s=record_s,
-                replay_s=replay_s,
-                stats=stats,
-            )
-
-    merge_start = time.perf_counter()
-    for i, ((task, key), result) in enumerate(zip(pending, computed)):
-        results[task.key] = result
-        store_s = 0.0
-        if cache is not None and key is not None:
-            store_start = time.perf_counter()
-            meta: dict[str, Any] = {"point": [str(part) for part in task.key]}
-            scenario = getattr(task, "scenario", None)
-            if scenario:
-                meta["scenario"] = scenario
-            cache.store(key, task.encode(result), meta=meta)
-            store_s = time.perf_counter() - store_start
-        if profile is not None and (store_s or task.key in lookups):
-            timing = profile.timings[-len(pending) + i]
-            profile.timings[-len(pending) + i] = TaskTiming(
-                key=timing.key,
-                source=timing.source,
-                seconds=timing.seconds,
-                lookup_s=lookups.get(task.key, 0.0),
-                store_s=store_s,
-                ff_skipped=timing.ff_skipped,
-            )
-    if report is not None:
-        report.merge_s += time.perf_counter() - merge_start
-    if profile is not None:
-        profile.wall_s += time.perf_counter() - sweep_start
-    return [results[task.key] for task in ordered]
-
-
-def _merge_unit(
-    unit: _Unit,
-    unit_results: list[Any],
-    fallback: str | None,
-    unit_s: float,
-    ff_skipped: int,
-    computed: list[Any],
-    profile: ExecProfile | None,
-    report: BatchReport | None,
-    *,
-    record_s: float = 0.0,
-    replay_s: float = 0.0,
-    stats: Any,
-) -> None:
-    """Scatter a unit's results back to their sweep positions.
-
-    Profile rows synthesize per-point cost from the shared recording:
-    the unit's wall time (plus any warm-phase recording attributed to
-    this unit) is split evenly, so the rows still sum to the measured
-    walls and per-sweep totals stay meaningful.  The fast-forward delta
-    (the recording's jumps) is attributed to the first point, mirroring
-    how the ledger would see one recording run.
-    """
-    merge_start = time.perf_counter()
-    for index, result in zip(unit.indices, unit_results):
-        computed[index] = result
-    if report is not None:
-        report.record_s += record_s
-        report.replay_s += replay_s
-        report.vector_cols += stats.vector_gears
-        report.scalar_cols += stats.scalar_gears
-        report.divergent_cols += stats.divergent_gears
-        if fallback is not None:
-            report.fallbacks.append(
-                BatchFallback(
-                    point=str(unit.tasks[0].key),
-                    points=len(unit.tasks),
-                    reason=fallback,
-                )
-            )
-    if profile is not None:
-        share = (unit_s + unit.warm_s) / len(unit.tasks)
-        skipped_total = ff_skipped + unit.warm_skipped
-        for i, task in enumerate(unit.tasks):
-            profile.add(
-                TaskTiming(
-                    key=str(task.key),
-                    source=SOURCE_RUN,
-                    seconds=share,
-                    ff_skipped=skipped_total if i == 0 else 0,
-                )
-            )
-    if report is not None:
-        report.merge_s += time.perf_counter() - merge_start
-
-
-def _missing_tapes(
-    units: Sequence[_Unit], tape_root: Path
-) -> dict[str, list[_Unit]]:
-    """Batch units whose tape is absent from the store, keyed by tape.
-
-    Cross-kind units can share one tape key; the list preserves unit
-    order so warm-phase accounting lands on the first owner.
-    """
-    store = TapeCache(tape_root)
-    missing: dict[str, list[_Unit]] = {}
-    for unit in units:
-        if unit.batch and unit.tape_key is not None:
-            if not store.contains(unit.tape_key):
-                missing.setdefault(unit.tape_key, []).append(unit)
-    return missing
-
-
-def _warm_tapes(
-    missing: dict[str, list[_Unit]],
-    pool: ProcessPoolExecutor,
-    tape_root: Path,
-    report: BatchReport | None,
-) -> None:
-    """Record every missing tape in parallel, one pool task per tape.
-
-    Recording is the serial bottleneck once replay is vectorized, so it
-    fans out recording-per-worker *before* unit chunks are formed — a
-    sweep of N fresh groups records N-wide even when chunking would
-    have packed those groups onto fewer workers.  A certification
-    failure marks every owning unit ``prefail`` so each falls back to
-    the event engine without re-attempting the recording; the
-    fast-forward skip delta folds into the parent ledger exactly like
-    the event pool does.
-    """
-    futures = {
-        key: pool.submit(
-            _record_tape_job, owners[0].tasks[0], owners[0].rec_gear,
-            tape_root, key,
+            keys = {unit.tape_key for unit in groups}
+            hits = sum(tape_cache.contains(key) for key in keys)
+            report.tape_hits += hits
+            report.tape_misses += len(keys) - hits
+    root = Path(tape_cache.root) if tape_cache is not None else None
+    if pooled and root is None and groups:
+        # No persistent cache: an ephemeral sweep-local store still lets
+        # the parallel-recording phase hand tapes to the unit workers
+        # without a second IPC round-trip.
+        root = Path(
+            stack.enter_context(tempfile.TemporaryDirectory(prefix="repro-tapes-"))
         )
-        for key, owners in missing.items()
-    }
-    wait(futures.values(), return_when=FIRST_EXCEPTION)
-    for key, future in futures.items():
-        owners = missing[key]
-        try:
-            fail, record_s, skipped = future.result()
-        except Exception as exc:
-            for other in futures.values():
-                other.cancel()
-            raise _point_error(owners[0].tasks[0], exc) from exc
-        if report is not None:
-            report.record_s += record_s
-        config = getattr(owners[0].tasks[0], "fast_forward", None)
-        if config is not None and skipped:
-            config.aggregate.skipped_iterations += skipped
-        owners[0].warm_s += record_s
-        owners[0].warm_skipped += skipped
-        if fail is not None:
-            for unit in owners:
-                unit.prefail = fail
+    for unit in groups:
+        unit.tape_root = root
+    if not pooled or root is None:
+        return None
+    warmup = _TapeWarmup(groups, root, report)
+    return warmup if warmup.missing else None
 
 
-def _run_units_pool(
-    units: Sequence[_Unit],
-    jobs: int,
-    chunk_size: int,
-    computed: list[Any],
-    profile: ExecProfile | None,
-    report: BatchReport | None,
-    tape_root: Path | None,
-) -> None:
-    """Fan unit chunks out to a process pool; merge in unit order.
+class _TapeWarmup:
+    """The parallel-recording phase of a pooled batch sweep.
 
-    Two pool phases on one worker pool: first the parallel-recording
-    phase fills the tape store (see :func:`_warm_tapes`), then unit
-    chunks replay from it.
+    Recording is the serial bottleneck once replay is vectorized, so
+    every missing tape is recorded on the sweep's pool, one task per
+    distinct tape, *before* unit chunks are dispatched — a sweep of N
+    fresh groups records N-wide even when chunking packs those groups
+    onto fewer workers.  ``len()`` is that width.
     """
-    chunks = [
-        list(units[i : i + chunk_size])
-        for i in range(0, len(units), chunk_size)
-    ]
-    missing = _missing_tapes(units, tape_root) if tape_root is not None else {}
-    workers = min(jobs, max(len(chunks), len(missing)))
-    if profile is not None:
-        profile.workers = max(profile.workers, workers)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        if missing:
-            _warm_tapes(missing, pool, tape_root, report)  # type: ignore[arg-type]
-        payloads = [
-            [
-                (unit.tasks, unit.batch, unit.tape_key, unit.prefail)
-                for unit in chunk
-            ]
-            for chunk in chunks
-        ]
-        futures = [
-            pool.submit(_execute_unit_chunk, payload, tape_root)
-            for payload in payloads
-        ]
-        wait(futures, return_when=FIRST_EXCEPTION)
-        for chunk, future in zip(chunks, futures):
+
+    def __init__(
+        self,
+        groups: Sequence[_BatchUnit],
+        root: Path,
+        report: BatchReport | None,
+    ):
+        store = TapeCache(root)
+        self.root = root
+        self.report = report
+        #: Owners of each missing tape, in unit order, so warm-phase
+        #: accounting lands on the first owner.
+        self.missing: dict[str, list[_BatchUnit]] = {}
+        for unit in groups:
+            if not store.contains(unit.tape_key):
+                self.missing.setdefault(unit.tape_key, []).append(unit)
+
+    def __len__(self) -> int:
+        return len(self.missing)
+
+    def __call__(self, pool: ProcessPoolExecutor) -> None:
+        """Record every missing tape on ``pool`` and wait for them.
+
+        A certification failure marks every owning unit ``prefail`` so
+        each falls back to the event engine without re-attempting the
+        recording; the fast-forward skip delta folds into the parent
+        ledger exactly like the sweep's pool does.
+        """
+        futures = {
+            key: pool.submit(
+                _record_tape_job,
+                owners[0].tasks[0],
+                owners[0].rec_gear,
+                self.root,
+                key,
+            )
+            for key, owners in self.missing.items()
+        }
+        wait(futures.values(), return_when=FIRST_EXCEPTION)
+        for key, future in futures.items():
+            owners = self.missing[key]
             try:
-                outcomes = future.result()
-            except _UnitPointError as exc:
-                for other in futures:
-                    other.cancel()
-                raise _point_error(
-                    chunk[exc.unit_index].tasks[0], exc.cause
-                ) from exc.cause
+                fail, record_s, skipped = future.result()
             except Exception as exc:
-                for other in futures:
+                for other in futures.values():
                     other.cancel()
-                raise _point_error(chunk[0].tasks[0], exc) from exc
-            for unit, (
-                unit_results,
-                fallback,
-                unit_s,
-                skipped,
-                record_s,
-                replay_s,
-                stats,
-            ) in zip(chunk, outcomes):
-                # Workers mutate their own pickled fast-forward config;
-                # fold the recording's skip count back into the parent
-                # ledger exactly like the event pool does.
-                config = getattr(unit.tasks[0], "fast_forward", None)
-                if config is not None and skipped:
-                    config.aggregate.skipped_iterations += skipped
-                _merge_unit(
-                    unit,
-                    unit_results,
-                    fallback,
-                    unit_s,
-                    skipped,
-                    computed,
-                    profile,
-                    report,
-                    record_s=record_s,
-                    replay_s=replay_s,
-                    stats=stats,
-                )
+                raise _point_error(owners[0].tasks[0], exc) from exc
+            if self.report is not None:
+                self.report.record_s += record_s
+            config = getattr(owners[0].tasks[0], "fast_forward", None)
+            if config is not None and skipped:
+                config.aggregate.skipped_iterations += skipped
+            owners[0].warm_s += record_s
+            owners[0].warm_skipped += skipped
+            if fail is not None:
+                for unit in owners:
+                    unit.prefail = fail

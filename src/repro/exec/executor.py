@@ -79,15 +79,9 @@ class Executor:
         backend: str = "event",
         tape_cache: TapeCache | bool | None = None,
     ):
-        from repro.exec.batch_sweep import BACKENDS, BatchReport
+        from repro.exec.batch_sweep import BatchReport, check_backend
 
-        if backend not in BACKENDS:
-            from repro.util.errors import ConfigurationError
-
-            known = ", ".join(repr(b) for b in BACKENDS)
-            raise ConfigurationError(
-                f"unknown backend {backend!r}; choose from {known}"
-            )
+        check_backend(backend)
         if cache is True:
             cache = ResultCache()
         elif cache is False:

@@ -62,7 +62,9 @@ class ExecProfile:
     """Accumulated sweep profiling, filled in by :func:`repro.exec.sweep.sweep`.
 
     Attributes:
-        timings: one entry per simulation point, in completion order.
+        timings: one entry per simulation point; within a sweep, its
+            cache hits come first, then its simulated points, each in
+            task order.
         wall_s: total wall time spent inside ``sweep`` calls.
         workers: the largest worker-pool size used (1 = inline).
     """

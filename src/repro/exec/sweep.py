@@ -13,6 +13,13 @@ contract that makes it safe to drop into the experiment harness:
   caller as a :class:`~repro.util.errors.SimulationError` naming the
   failing point's key, with the original exception chained as the cause.
 
+Both backends share this one driver.  Pending points are partitioned
+into *units* that run inline or on one process pool: under ``"event"``
+every point is a singleton unit; under ``"batch"`` points sharing a
+recording form one unit (:mod:`repro.exec.batch_sweep`).  Chunking
+counts units, and results, cache stores and profile rows are merged by
+pending position, so unit formation never changes the merge order.
+
 Observability: an ``observer`` (see :mod:`repro.obs.observer`) rides
 along every simulation — which forces the sweep inline and uncached,
 because a cached or out-of-process point produces no events to observe.
@@ -25,7 +32,9 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
-from typing import TYPE_CHECKING, Any, Iterable, Sequence
+from contextlib import ExitStack
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, ClassVar, Iterable, Sequence
 
 from repro.exec.cache import ResultCache
 from repro.exec.fingerprint import code_version_token, fingerprint
@@ -44,18 +53,6 @@ def cache_key(task: SimTask) -> str:
     )
 
 
-def _execute(task: SimTask) -> Any:
-    """Run one task; module-level so process pools can pickle it."""
-    return task.run()
-
-
-def _execute_timed(task: SimTask) -> tuple[Any, float]:
-    """Run one task in a worker, returning (result, wall seconds)."""
-    start = time.perf_counter()
-    result = task.run()
-    return result, time.perf_counter() - start
-
-
 def _ff_skipped(task: SimTask) -> int:
     """Iterations fast-forward has skipped under this task's config so far.
 
@@ -71,12 +68,48 @@ def _ff_skipped(task: SimTask) -> int:
     return config.aggregate.skipped_iterations
 
 
-class _ChunkPointError(Exception):
-    """One point of a chunk failed in a worker.
+@dataclass
+class _Unit:
+    """Points that execute together, in one call on one worker.
 
-    Carries the chunk-local index so the caller can name the exact
-    failing point, and the original exception as the cause to chain.
-    Built from plain ``args`` so it pickles across the process boundary.
+    Under the event backend every point is a singleton unit; the batch
+    backend's units (:class:`repro.exec.batch_sweep._BatchUnit`) are
+    groups of points sharing one recording.  Chunking counts units, so a
+    unit is never split across workers.
+    """
+
+    tasks: list[SimTask]
+    #: Positions of the tasks in the sweep's pending list.
+    indices: list[int]
+    #: Seconds and fast-forwarded iterations spent on this unit before
+    #: dispatch (the batch backend's parallel recording), charged to its
+    #: profile rows.
+    warm_s: float = 0.0
+    warm_skipped: int = 0
+
+    #: Whether the unit replays a shared batch recording.
+    batch: ClassVar[bool] = False
+
+    def run(self, observer: "RunObserver | None" = None) -> tuple[list[Any], Any]:
+        """Execute the unit: (results in task order, backend accounting)."""
+        (task,) = self.tasks
+        # Only pass the observer when one is attached: tasks that
+        # predate observability keep their plain run() signature.
+        if observer is not None:
+            return [task.run(observer=observer)], None
+        return [task.run()], None
+
+    def account(self, outcome: Any, report: Any) -> None:
+        """Fold the accounting :meth:`run` returned into a batch report."""
+
+
+class _ChunkPointError(Exception):
+    """One unit of a chunk failed.
+
+    Carries the chunk-local unit index so the caller can name the
+    failing point (the unit's first), and the original exception as the
+    cause to chain.  Built from plain ``args`` so it pickles across the
+    process boundary.
     """
 
     def __init__(self, index: int, cause: BaseException):
@@ -86,28 +119,34 @@ class _ChunkPointError(Exception):
 
 
 def _execute_chunk(
-    tasks: Sequence[SimTask],
-) -> tuple[list[Any], list[float], float, list[int]]:
-    """Run a chunk of tasks in one worker call.
+    units: Sequence[_Unit], observer: "RunObserver | None" = None
+) -> tuple[list[tuple[list[Any], Any, float, int]], float]:
+    """Run a chunk of units in one call, in a pool worker or inline.
 
-    Returns (results, per-point wall seconds, chunk wall seconds,
-    per-point fast-forwarded iterations), all measured inside the worker
-    so IPC and worker startup are excluded.
+    Returns, per unit, (results, backend accounting, wall seconds,
+    fast-forwarded iterations), plus the chunk's wall seconds — all
+    measured where the units ran, so IPC and worker startup are
+    excluded.
     """
     chunk_start = time.perf_counter()
-    results: list[Any] = []
-    seconds: list[float] = []
-    ff_skips: list[int] = []
-    for index, task in enumerate(tasks):
+    out = []
+    for index, unit in enumerate(units):
+        lead = unit.tasks[0]
         start = time.perf_counter()
-        skipped_before = _ff_skipped(task)
+        skipped_before = _ff_skipped(lead)
         try:
-            results.append(task.run())
+            results, outcome = unit.run(observer)
         except Exception as exc:
             raise _ChunkPointError(index, exc) from exc
-        seconds.append(time.perf_counter() - start)
-        ff_skips.append(_ff_skipped(task) - skipped_before)
-    return results, seconds, time.perf_counter() - chunk_start, ff_skips
+        out.append(
+            (
+                results,
+                outcome,
+                time.perf_counter() - start,
+                _ff_skipped(lead) - skipped_before,
+            )
+        )
+    return out, time.perf_counter() - chunk_start
 
 
 def _point_error(task: SimTask, exc: BaseException) -> SimulationError:
@@ -164,27 +203,26 @@ def sweep(
             changes results (the simulator is deterministic).
         profile: optional profile accumulating per-point wall time and
             cache-latency accounting across this sweep.
-        chunk_size: points dispatched per worker call when ``jobs > 1``
+        chunk_size: units dispatched per worker call when ``jobs > 1``
             (amortizes pickling/IPC).  ``None`` picks about four chunks
             per worker.  Chunks are consecutive slices in task order, so
             chunking never changes results or merge order.  Under the
-            batch backend the unit of chunking is a batch *group*, not a
-            point — one recording is never split across workers.
+            event backend a unit is one point; under the batch backend
+            it is a batch *group* — one recording is never split across
+            workers.
         backend: ``"event"`` (the default) simulates every point
-            independently; ``"batch"`` routes the sweep through
-            :func:`repro.exec.batch_sweep.batch_sweep`, which records
-            gear-groupable points once and replays the grid (results
-            equal to ~1e-9, cached under distinct keys).  Observed
-            sweeps always use the event engine — a replayed tape
-            produces no events to observe.
+            independently; ``"batch"`` forms gear-groupable points into
+            units (:mod:`repro.exec.batch_sweep`) that record once and
+            replay the grid (results equal to ~1e-9, cached under
+            distinct keys).  Observed sweeps always use the event engine
+            — a replayed tape produces no events to observe.
         batch_report: optional
             :class:`repro.exec.batch_sweep.BatchReport` accumulating
             grouping/fallback/tape-cache/stage-timing accounting (batch
             backend only).
         tape_cache: optional :class:`repro.exec.cache.TapeCache`
             persisting batch recordings across sweeps and processes
-            (batch backend only; see
-            :func:`repro.exec.batch_sweep.batch_sweep`).
+            (batch backend only); ``None`` keeps recordings sweep-local.
 
     Returns:
         One result per task, in task order regardless of completion
@@ -196,23 +234,14 @@ def sweep(
         SimulationError: a point failed; the message names its key and
             the original exception is chained as ``__cause__``.
     """
-    from repro.exec.batch_sweep import BACKENDS, batch_sweep
+    from repro.exec.batch_sweep import (
+        _form_units,
+        _prepare_units,
+        check_backend,
+        point_key,
+    )
 
-    if backend not in BACKENDS:
-        known = ", ".join(repr(b) for b in BACKENDS)
-        raise ConfigurationError(
-            f"unknown backend {backend!r}; choose from {known}"
-        )
-    if backend == "batch" and observer is None:
-        return batch_sweep(
-            tasks,
-            jobs=jobs,
-            cache=cache,
-            profile=profile,
-            chunk_size=chunk_size,
-            report=batch_report,
-            tape_cache=tape_cache,
-        )
+    check_backend(backend)
     ordered: Sequence[SimTask] = list(tasks)
     if jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
@@ -227,6 +256,8 @@ def sweep(
     sweep_start = time.perf_counter()
     if observer is not None:
         cache = None  # cached points would produce no events to observe
+    batched = backend == "batch" and observer is None
+    key_of = point_key if batched else cache_key
 
     results: dict[tuple, Any] = {}
     pending: list[tuple[SimTask, str | None]] = []
@@ -234,7 +265,7 @@ def sweep(
     for task in ordered:
         if cache is not None:
             lookup_start = time.perf_counter()
-            key = cache_key(task)
+            key = key_of(task)
             payload = cache.load(key)
             lookup_s = time.perf_counter() - lookup_start
             if payload is not None:
@@ -254,16 +285,39 @@ def sweep(
         else:
             pending.append((task, None))
 
-    if jobs > 1 and len(pending) > 1 and observer is None:
-        size = chunk_size or _auto_chunk_size(len(pending), jobs)
-        nchunks = math.ceil(len(pending) / size)
-        computed = _run_pool(pending, jobs, profile, size)
-        if profile is not None:
-            profile.workers = max(profile.workers, min(jobs, nchunks))
+    if batched:
+        units = _form_units(pending)
     else:
-        computed = _run_inline(pending, observer, profile)
+        units = [_Unit([task], [index]) for index, (task, _) in enumerate(pending)]
+    pooled = jobs > 1 and len(units) > 1 and observer is None
+    with ExitStack() as stack:
+        warmup = None
+        if batched:
+            warmup = _prepare_units(units, batch_report, tape_cache, pooled, stack)
+        if pooled:
+            size = chunk_size or _auto_chunk_size(len(units), jobs)
+            outcomes = _run_pool(units, jobs, size, profile, warmup)
+        else:
+            try:
+                outcomes, _ = _execute_chunk(units, observer)
+            except _ChunkPointError as exc:
+                raise _point_error(
+                    units[exc.index].tasks[0], exc.cause
+                ) from exc.cause
 
-    for i, ((task, key), result) in enumerate(zip(pending, computed)):
+    merge_start = time.perf_counter()
+    computed: list[Any] = [None] * len(pending)
+    rows: list[tuple[float, int]] = [(0.0, 0)] * len(pending)
+    for unit, (unit_results, outcome, unit_s, skipped) in zip(units, outcomes):
+        unit.account(outcome, batch_report)
+        # A shared recording's cost splits evenly over its points, so
+        # the rows still sum to the measured walls; the fast-forward
+        # delta goes to the first point, as the ledger saw one run.
+        share = (unit_s + unit.warm_s) / len(unit.tasks)
+        for i, (index, result) in enumerate(zip(unit.indices, unit_results)):
+            computed[index] = result
+            rows[index] = (share, skipped + unit.warm_skipped if i == 0 else 0)
+    for (task, key), result, (seconds, skipped) in zip(pending, computed, rows):
         results[task.key] = result
         store_s = 0.0
         if cache is not None and key is not None:
@@ -274,101 +328,75 @@ def sweep(
                 meta["scenario"] = scenario
             cache.store(key, task.encode(result), meta=meta)
             store_s = time.perf_counter() - store_start
-        if profile is not None and (store_s or task.key in lookups):
-            # Fold cache traffic into the point's timing entry.
-            timing = profile.timings[-len(pending) + i]
-            profile.timings[-len(pending) + i] = TaskTiming(
-                key=timing.key,
-                source=timing.source,
-                seconds=timing.seconds,
-                lookup_s=lookups.get(task.key, 0.0),
-                store_s=store_s,
-                ff_skipped=timing.ff_skipped,
-            )
-    if profile is not None:
-        profile.wall_s += time.perf_counter() - sweep_start
-    return [results[task.key] for task in ordered]
-
-
-def _run_inline(
-    pending: Sequence[tuple[SimTask, str | None]],
-    observer: "RunObserver | None" = None,
-    profile: ExecProfile | None = None,
-) -> list[Any]:
-    out = []
-    for task, _ in pending:
-        start = time.perf_counter()
-        skipped_before = _ff_skipped(task)
-        try:
-            # Only pass the observer when one is attached: tasks that
-            # predate observability keep their plain run() signature.
-            if observer is not None:
-                out.append(task.run(observer=observer))
-            else:
-                out.append(task.run())
-        except Exception as exc:
-            raise _point_error(task, exc) from exc
         if profile is not None:
             profile.add(
                 TaskTiming(
                     key=str(task.key),
                     source=SOURCE_RUN,
-                    seconds=time.perf_counter() - start,
-                    ff_skipped=_ff_skipped(task) - skipped_before,
+                    seconds=seconds,
+                    lookup_s=lookups.get(task.key, 0.0),
+                    store_s=store_s,
+                    ff_skipped=skipped,
                 )
             )
-    return out
+    if batched and batch_report is not None:
+        batch_report.merge_s += time.perf_counter() - merge_start
+    if profile is not None:
+        profile.wall_s += time.perf_counter() - sweep_start
+    return [results[task.key] for task in ordered]
 
 
 def _run_pool(
-    pending: Sequence[tuple[SimTask, str | None]],
+    units: Sequence[_Unit],
     jobs: int,
+    chunk_size: int,
     profile: ExecProfile | None = None,
-    chunk_size: int = 1,
-) -> list[Any]:
+    warmup: Any = None,
+) -> list[tuple[list[Any], Any, float, int]]:
+    """Fan unit chunks out to a process pool; collect in unit order.
+
+    ``warmup`` (the batch backend's parallel recording, see
+    :class:`repro.exec.batch_sweep._TapeWarmup`) runs on the same pool
+    before any chunk is dispatched, one pool task per missing tape.
+    """
     chunks = [
-        [task for task, _ in pending[i : i + chunk_size]]
-        for i in range(0, len(pending), chunk_size)
+        list(units[i : i + chunk_size]) for i in range(0, len(units), chunk_size)
     ]
-    workers = min(jobs, len(chunks))
+    workers = min(jobs, max(len(chunks), len(warmup) if warmup else 0))
+    if profile is not None:
+        profile.workers = max(profile.workers, workers)
     with ProcessPoolExecutor(max_workers=workers) as pool:
+        if warmup:
+            warmup(pool)
         futures = [pool.submit(_execute_chunk, chunk) for chunk in chunks]
         wait(futures, return_when=FIRST_EXCEPTION)
         out = []
         for chunk, future in zip(chunks, futures):
             try:
-                results, seconds, chunk_wall, ff_skips = future.result()
-            except _ChunkPointError as exc:
+                outcomes, chunk_wall = future.result()
+            except Exception as exc:
                 for other in futures:
                     other.cancel()
-                raise _point_error(chunk[exc.index], exc.cause) from exc.cause
-            except Exception as exc:
+                if isinstance(exc, _ChunkPointError):
+                    raise _point_error(
+                        chunk[exc.index].tasks[0], exc.cause
+                    ) from exc.cause
                 # Infrastructure failure (e.g. a broken pool): no point
                 # index to blame, so name the chunk's first point.
-                for other in futures:
-                    other.cancel()
-                raise _point_error(chunk[0], exc) from exc
-            out.extend(results)
-            for task, skipped in zip(chunk, ff_skips):
+                raise _point_error(chunk[0].tasks[0], exc) from exc
+            # Attribute the chunk's residual (request unpickling, loop
+            # bookkeeping) evenly so the units' times sum to the
+            # in-worker chunk wall — worker startup and IPC stay
+            # excluded.
+            residual = (chunk_wall - sum(o[2] for o in outcomes)) / len(outcomes)
+            for unit, (unit_results, outcome, unit_s, skipped) in zip(
+                chunk, outcomes
+            ):
                 # Workers mutate their own pickled copy of the config;
                 # carry the headline counter back to the parent's ledger
                 # so pooled and inline sweeps report the same totals.
-                config = getattr(task, "fast_forward", None)
+                config = getattr(unit.tasks[0], "fast_forward", None)
                 if config is not None and skipped:
                     config.aggregate.skipped_iterations += skipped
-            if profile is not None:
-                # Attribute the chunk's residual (request unpickling,
-                # loop bookkeeping) evenly so the recorded per-point
-                # times sum to the in-worker chunk wall time — worker
-                # startup and IPC stay excluded.
-                residual = (chunk_wall - sum(seconds)) / len(seconds)
-                for task, point_s, skipped in zip(chunk, seconds, ff_skips):
-                    profile.add(
-                        TaskTiming(
-                            key=str(task.key),
-                            source=SOURCE_RUN,
-                            seconds=point_s + residual,
-                            ff_skipped=skipped,
-                        )
-                    )
+                out.append((unit_results, outcome, unit_s + residual, skipped))
     return out

@@ -9,7 +9,9 @@ and non-batchable points pass through unchanged.
 
 from __future__ import annotations
 
+import importlib
 import json
+import time
 
 import pytest
 
@@ -22,11 +24,11 @@ from repro.exec import (
     MeasurementTask,
     ResultCache,
     TapeCache,
-    batch_sweep,
     tape_key,
 )
 from repro.exec.batch_sweep import _form_units, batch_cache_key
-from repro.exec.sweep import _auto_chunk_size, cache_key, sweep
+from repro.exec.profile import SOURCE_RUN, ExecProfile
+from repro.exec.sweep import _auto_chunk_size, _execute_chunk, cache_key, sweep
 from repro.util.errors import ConfigurationError
 from repro.workloads.jacobi import Jacobi
 from repro.workloads.nas import BT, EP, MG
@@ -86,7 +88,7 @@ class TestGrouping:
 
     def test_report_accounts_groups_and_passthrough(self, tasks):
         report = BatchReport()
-        batch_sweep(tasks, report=report)
+        sweep(tasks, backend="batch", batch_report=report)
         assert report.groups == 2
         assert report.grouped_points == 7
         assert report.passthrough_points == 1
@@ -105,13 +107,15 @@ class TestMergeDeterminism:
     """
 
     def test_pooled_merge_is_byte_identical_to_serial(self, tasks):
-        serial = _payloads(tasks, batch_sweep(tasks, jobs=1))
-        pooled = _payloads(tasks, batch_sweep(tasks, jobs=4))
+        serial = _payloads(tasks, sweep(tasks, backend="batch", jobs=1))
+        pooled = _payloads(tasks, sweep(tasks, backend="batch", jobs=4))
         assert pooled == serial
 
     def test_explicit_chunk_size_changes_nothing(self, tasks):
-        serial = _payloads(tasks, batch_sweep(tasks, jobs=1))
-        chunked = _payloads(tasks, batch_sweep(tasks, jobs=2, chunk_size=1))
+        serial = _payloads(tasks, sweep(tasks, backend="batch", jobs=1))
+        chunked = _payloads(
+            tasks, sweep(tasks, backend="batch", jobs=2, chunk_size=1)
+        )
         assert chunked == serial
 
     def test_chunks_count_units_not_points(self, tasks):
@@ -123,12 +127,12 @@ class TestMergeDeterminism:
 
     def test_more_workers_than_groups_still_groups_once(self, tasks):
         report = BatchReport()
-        batch_sweep(tasks, jobs=8, report=report)
+        sweep(tasks, backend="batch", jobs=8, batch_report=report)
         assert report.groups == 2  # recordings never split by the pool
 
     def test_duplicate_point_keys_rejected(self, tasks):
         with pytest.raises(ConfigurationError, match="duplicate"):
-            batch_sweep([tasks[0], tasks[0]])
+            sweep([tasks[0], tasks[0]], backend="batch")
 
 
 class TestCacheKeying:
@@ -138,10 +142,11 @@ class TestCacheKeying:
 
     def test_warm_cache_replays_identically(self, tasks, tmp_path):
         cache = ResultCache(root=tmp_path / "batch-cache")
-        cold = _payloads(tasks, batch_sweep(tasks, cache=cache))
+        cold = _payloads(tasks, sweep(tasks, backend="batch", cache=cache))
         report = BatchReport()
         warm = _payloads(
-            tasks, batch_sweep(tasks, cache=cache, report=report)
+            tasks,
+            sweep(tasks, backend="batch", cache=cache, batch_report=report),
         )
         assert warm == cold
         assert cache.stats.hits == len(tasks)
@@ -149,7 +154,7 @@ class TestCacheKeying:
 
     def test_event_executor_never_reads_batch_entries(self, tasks, tmp_path):
         cache = ResultCache(root=tmp_path / "shared-cache")
-        batch_sweep(tasks, cache=cache)
+        sweep(tasks, backend="batch", cache=cache)
         hits_before = cache.stats.hits
         sweep(tasks[:1], cache=cache)
         # The event sweep missed: batch results are 1e-9-equivalent,
@@ -162,15 +167,43 @@ class TestBackendSelection:
         via_sweep = _payloads(
             tasks, sweep(tasks, backend="batch")
         )
-        direct = _payloads(tasks, batch_sweep(tasks))
+        # The same units run by hand and scattered back to task order.
+        by_hand: list = [None] * len(tasks)
+        for unit in _form_units([(task, None) for task in tasks]):
+            unit_results, _ = unit.run()
+            for index, result in zip(unit.indices, unit_results):
+                by_hand[index] = result
+        direct = _payloads(tasks, by_hand)
         assert via_sweep == direct
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_event_backend_never_groups(
+        self, tasks, tmp_path, monkeypatch, jobs
+    ):
+        # The event path forms singleton units directly: no group
+        # tokens, no tape keys, no fingerprint beyond the cache key.
+        def never(*args, **kwargs):
+            raise AssertionError("the event backend formed batch groups")
+
+        batch_module = importlib.import_module("repro.exec.batch_sweep")
+        monkeypatch.setattr(batch_module, "_group_token", never)
+        monkeypatch.setattr(batch_module, "tape_key", never)
+        profile = ExecProfile()
+        cache = ResultCache(root=tmp_path / "cache")
+        results = sweep(
+            tasks, backend="event", jobs=jobs, cache=cache, profile=profile
+        )
+        assert len(results) == len(tasks)
+        assert [t.key for t in profile.timings] == [str(t.key) for t in tasks]
+        with pytest.raises(AssertionError, match="formed batch groups"):
+            sweep(tasks, backend="batch")  # the patch does bite
 
     def test_sweep_forwards_tape_cache(self, tasks, tmp_path):
         tape_cache = TapeCache(tmp_path / "tapes")
         via_sweep = _payloads(
             tasks, sweep(tasks, backend="batch", tape_cache=tape_cache)
         )
-        direct = _payloads(tasks, batch_sweep(tasks))
+        direct = _payloads(tasks, sweep(tasks, backend="batch"))
         assert via_sweep == direct
         assert len(tape_cache) == 2  # the cache saw the recordings
 
@@ -202,29 +235,45 @@ class TestTapeCache:
         tape_cache = TapeCache(tmp_path / "tapes")
         cold_report = BatchReport()
         cold = _payloads(
-            tasks, batch_sweep(tasks, report=cold_report, tape_cache=tape_cache)
+            tasks,
+            sweep(
+                tasks,
+                backend="batch",
+                batch_report=cold_report,
+                tape_cache=tape_cache,
+            ),
         )
         assert cold_report.tape_cache_enabled
         assert (cold_report.tape_hits, cold_report.tape_misses) == (0, 2)
         warm_report = BatchReport()
         warm = _payloads(
-            tasks, batch_sweep(tasks, report=warm_report, tape_cache=tape_cache)
+            tasks,
+            sweep(
+                tasks,
+                backend="batch",
+                batch_report=warm_report,
+                tape_cache=tape_cache,
+            ),
         )
         assert warm == cold  # a loaded tape replays byte-identically
         assert (warm_report.tape_hits, warm_report.tape_misses) == (2, 0)
         assert warm_report.record_s == 0.0  # nothing re-recorded
 
     def test_pooled_sweep_shares_tapes_and_matches_serial(self, tasks, tmp_path):
-        serial = _payloads(tasks, batch_sweep(tasks))
+        serial = _payloads(tasks, sweep(tasks, backend="batch"))
         tape_cache = TapeCache(tmp_path / "tapes")
-        cold = _payloads(tasks, batch_sweep(tasks, jobs=4, tape_cache=tape_cache))
-        warm = _payloads(tasks, batch_sweep(tasks, jobs=4, tape_cache=tape_cache))
+        cold = _payloads(
+            tasks, sweep(tasks, backend="batch", jobs=4, tape_cache=tape_cache)
+        )
+        warm = _payloads(
+            tasks, sweep(tasks, backend="batch", jobs=4, tape_cache=tape_cache)
+        )
         assert cold == serial
         assert warm == serial
 
     def test_prune_evicts_tapes(self, tasks, tmp_path, monkeypatch):
         tape_cache = TapeCache(tmp_path / "tapes")
-        batch_sweep(tasks, tape_cache=tape_cache)
+        sweep(tasks, backend="batch", tape_cache=tape_cache)
         assert len(tape_cache) == 2
         # Explicit size bound: evict (LRU) until the store fits.
         assert tape_cache.prune(max_bytes=0) == 2
@@ -232,13 +281,13 @@ class TestTapeCache:
         assert tape_cache.stats.evicted == 2
         # The environment knob drives the same bound when prune() gets
         # no explicit argument (the runner's post-run prune path).
-        batch_sweep(tasks, tape_cache=tape_cache)
+        sweep(tasks, backend="batch", tape_cache=tape_cache)
         monkeypatch.setenv("REPRO_CACHE_MAX_MB", "0.000001")
         assert tape_cache.prune() == 2
         # Eviction is never silent corruption: the next sweep simply
         # re-records and produces the same numbers.
         report = BatchReport()
-        batch_sweep(tasks, report=report, tape_cache=tape_cache)
+        sweep(tasks, backend="batch", batch_report=report, tape_cache=tape_cache)
         assert (report.tape_hits, report.tape_misses) == (0, 2)
 
     def test_tape_store_is_invisible_to_the_result_cache(self, tasks, tmp_path):
@@ -247,7 +296,7 @@ class TestTapeCache:
         # never see (or prune) tape entries as its own.
         cache = ResultCache(root=tmp_path / "cache")
         tape_cache = TapeCache(tmp_path / "cache" / "tapes")
-        batch_sweep(tasks, cache=cache, tape_cache=tape_cache)
+        sweep(tasks, backend="batch", cache=cache, tape_cache=tape_cache)
         assert len(tape_cache) == 2
         assert len(cache) == len(tasks)
 
@@ -255,8 +304,11 @@ class TestTapeCache:
         self, tasks, tmp_path
     ):
         report = BatchReport()
-        batch_sweep(
-            tasks, report=report, tape_cache=TapeCache(tmp_path / "tapes")
+        sweep(
+            tasks,
+            backend="batch",
+            batch_report=report,
+            tape_cache=TapeCache(tmp_path / "tapes"),
         )
         line = report.summary()
         assert ", 0 fallback(s)" in line
@@ -270,7 +322,7 @@ class TestTapeCache:
 
     def test_no_cache_summary_omits_tape_counts(self, tasks):
         report = BatchReport()
-        batch_sweep(tasks, report=report)
+        sweep(tasks, backend="batch", batch_report=report)
         assert not report.tape_cache_enabled
         assert "tape cache" not in report.summary()
 
@@ -317,7 +369,7 @@ class TestReplayCoverage:
     """Which replay path computed each column is visible in the report."""
 
     def test_batch_sweep_agrees_with_event_runs(self, tasks):
-        for task, ours in zip(tasks, batch_sweep(tasks)):
+        for task, ours in zip(tasks, sweep(tasks, backend="batch")):
             theirs = task.run()
             if isinstance(task, GearSweepTask):
                 pairs = list(zip(ours, theirs))
@@ -335,13 +387,61 @@ class TestReplayCoverage:
     def test_report_counts_columns_from_every_unit(self, narrowing_tasks, jobs):
         # Pooled workers send their ReplayStats back with the results.
         report = BatchReport()
-        batch_sweep(narrowing_tasks, jobs=jobs, report=report)
+        sweep(narrowing_tasks, backend="batch", jobs=jobs, batch_report=report)
         assert (report.vector_cols, report.scalar_cols) == (1, 11)
         assert report.divergent_cols == 5
         assert (
             "0 fallback(s); replay columns: 1 vector, 11 scalar "
             "(5 divergent)" in report.summary()
         )
+
+
+class _SlowStore(ResultCache):
+    """A result cache whose store of one chosen key takes visibly long."""
+
+    slow_key: str | None = None
+
+    def store(self, key, payload, *, meta=None):
+        if key == self.slow_key:
+            time.sleep(0.05)
+        return super().store(key, payload, meta=meta)
+
+
+class TestProfileRows:
+    """Batch profile rows come back in task order with their own timings."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_rows_follow_task_order(self, cluster, tmp_path, jobs):
+        # Interleaved groups form units [Jacobi g1 + g2, EP g1]; a
+        # unit-by-unit merge would put EP's row last and hand its cache
+        # timings to the Jacobi g2 row.
+        tasks = [
+            MeasurementTask(cluster, Jacobi(SCALE), nodes=2, gear=1),
+            MeasurementTask(cluster, EP(SCALE), nodes=2, gear=1),
+            MeasurementTask(cluster, Jacobi(SCALE), nodes=2, gear=2),
+        ]
+        cache = _SlowStore(root=tmp_path / "cache")
+        cache.slow_key = batch_cache_key(tasks[1])
+        profile = ExecProfile()
+        sweep(tasks, backend="batch", jobs=jobs, cache=cache, profile=profile)
+        rows = profile.timings
+        assert [t.key for t in rows] == [str(t.key) for t in tasks]
+        assert all(t.source == SOURCE_RUN for t in rows)
+        assert all(t.seconds > 0 and t.lookup_s > 0 for t in rows)
+        assert [t.store_s >= 0.05 for t in rows] == [False, True, False]
+        assert profile.busy_s <= profile.wall_s * profile.workers
+
+    def test_unit_walls_fit_in_the_chunk_wall(self, tasks):
+        units = _form_units([(task, None) for task in tasks])
+        outcomes, chunk_wall = _execute_chunk(units)
+        assert [len(unit_results) for unit_results, _, _, _ in outcomes] == [
+            6,
+            1,
+            1,
+        ]
+        seconds = [unit_s for _, _, unit_s, _ in outcomes]
+        assert all(s > 0 for s in seconds)
+        assert sum(seconds) <= chunk_wall
 
 
 class TestExecutorTapeCache:

@@ -30,6 +30,7 @@ from repro.exec.sweep import (
     _auto_chunk_size,
     _ChunkPointError,
     _execute_chunk,
+    _Unit,
     cache_key,
 )
 from repro.util.errors import ConfigurationError, SimulationError
@@ -261,8 +262,14 @@ class TestChunkedDispatch:
 
 class TestChunkedProfile:
     def test_per_point_seconds_sum_to_chunk_wall(self, cluster):
-        chunk = [GearSweepTask(cluster, EP(SCALE), nodes=n) for n in (1, 2)]
-        results, seconds, chunk_wall, ff_skips = _execute_chunk(chunk)
+        chunk = [
+            _Unit([GearSweepTask(cluster, EP(SCALE), nodes=n)], [i])
+            for i, n in enumerate((1, 2))
+        ]
+        outcomes, chunk_wall = _execute_chunk(chunk)
+        results = [r for unit_results, _, _, _ in outcomes for r in unit_results]
+        seconds = [unit_s for _, _, unit_s, _ in outcomes]
+        ff_skips = [skipped for _, _, _, skipped in outcomes]
         assert len(results) == len(seconds) == len(chunk)
         assert ff_skips == [0, 0]
         assert all(s > 0 for s in seconds)
