@@ -163,10 +163,11 @@ class BatchReport:
         fallbacks: groups whose recording could not be certified and were
             re-run point-by-point on the event engine.
         tape_cache_enabled: whether a persistent tape cache was in play.
-        tape_hits: distinct tapes loaded from the persistent cache
-            instead of re-recorded.
-        tape_misses: distinct tapes that had to be recorded (and were
-            stored for the next sweep).
+        tape_hits: distinct tapes of a sweep that nothing recorded:
+            every unit loaded them from the persistent cache.
+        tape_misses: distinct tapes of a sweep that a parallel-recording
+            job or a unit recorded (absent, or present but undecodable)
+            and stored for the next sweep.
         record_s: seconds spent executing recording runs (in-worker
             when pooled — IPC and pool startup excluded).
         replay_s: seconds spent revaluing gear grids from tapes.
@@ -250,15 +251,19 @@ class _BatchUnit(_Unit):
     #: every unit sharing the failed tape so each falls back without
     #: re-attempting the recording.
     prefail: str | None = None
+    #: Tape keys this sweep has counted as misses, one set shared by the
+    #: sweep's batch units; None when no persistent tape cache is used.
+    missed_keys: set[str] | None = None
 
     def run(self, observer: Any = None) -> tuple[list[Any], Any]:
         """Load or record the group's tape, then replay its gear grid.
 
         Returns (results, (fallback reason, recording seconds, replay
-        seconds, :class:`~repro.sim.batch.ReplayStats`)).  Any :class:`~repro.sim.batch.BatchUnsupported` — from
-        certification, from the recording-gear self-check, or carried
-        in as ``prefail`` — downgrades the whole unit to per-point
-        event-engine runs, which are exact by definition.
+        seconds, :class:`~repro.sim.batch.ReplayStats`, whether this
+        unit recorded)).  Any :class:`~repro.sim.batch.BatchUnsupported`
+        — from certification, from the recording-gear self-check, or
+        carried in as ``prefail`` — downgrades the whole unit to
+        per-point event-engine runs, which are exact by definition.
         """
         from repro.sim.batch import (
             BatchUnsupported,
@@ -269,14 +274,17 @@ class _BatchUnit(_Unit):
 
         stats = ReplayStats()
         if self.prefail is not None:
-            return [t.run() for t in self.tasks], (self.prefail, 0.0, 0.0, stats)
+            outcome = (self.prefail, 0.0, 0.0, stats, False)
+            return [t.run() for t in self.tasks], outcome
         first: Any = self.tasks[0]
         record_s = 0.0
+        recorded = False
         try:
             tape = None
             if self.tape_root is not None:
                 tape = _load_tape(first.cluster, self.tape_root, self.tape_key)
             if tape is None:
+                recorded = True
                 tape, record_s = _record(
                     first, self.rec_gear, self.tape_root, self.tape_key
                 )
@@ -306,15 +314,18 @@ class _BatchUnit(_Unit):
                     )
                 )
             replay_s = time.perf_counter() - replay_start
-            return results, (None, record_s, replay_s, stats)
+            return results, (None, record_s, replay_s, stats, recorded)
         except BatchUnsupported as exc:
             # replay_grid counts only grids that passed the self-check.
-            return [t.run() for t in self.tasks], (str(exc), record_s, 0.0, stats)
+            outcome = (str(exc), record_s, 0.0, stats, recorded)
+            return [t.run() for t in self.tasks], outcome
 
     def account(self, outcome: Any, report: BatchReport | None) -> None:
         if report is None:
             return
-        fallback, record_s, replay_s, stats = outcome
+        fallback, record_s, replay_s, stats, recorded = outcome
+        if recorded:
+            _count_miss(report, self.missed_keys, self.tape_key)
         report.record_s += record_s
         report.replay_s += replay_s
         report.vector_cols += stats.vector_gears
@@ -371,6 +382,17 @@ def _form_units(pending: Sequence[tuple[SimTask, str | None]]) -> list[_Unit]:
             unit.rec_gear = _recording_gear(unit.tasks[0])
             unit.tape_key = tape_key(unit.tasks[0], unit.rec_gear)
     return units
+
+
+def _count_miss(
+    report: BatchReport | None, missed_keys: set[str] | None, key: str
+) -> None:
+    """Turn ``key``'s provisional tape-cache hit into a miss, once per sweep."""
+    if report is None or missed_keys is None or key in missed_keys:
+        return
+    missed_keys.add(key)
+    report.tape_hits -= 1
+    report.tape_misses += 1
 
 
 def _load_tape(cluster: Any, tape_root: Path, key: str) -> Any | None:
@@ -456,15 +478,16 @@ def _prepare_units(
         report.grouped_points += sum(len(unit.tasks) for unit in groups)
         report.passthrough_points += len(units) - len(groups)
         if tape_cache is not None:
-            # Parent-side hit/miss attribution, counted per distinct
-            # tape (cross-kind units can share one) before anything
-            # runs — workers rebuild their own cache handles, so their
-            # CacheStats never travel back.
+            # Counted per distinct tape (cross-kind units can share
+            # one): each starts as a hit and becomes a miss when a
+            # parallel-recording job or a unit records it
+            # (:func:`_count_miss`).  An entry that exists can still
+            # fail to decode, so only what ran can tell.
             report.tape_cache_enabled = True
-            keys = {unit.tape_key for unit in groups}
-            hits = sum(tape_cache.contains(key) for key in keys)
-            report.tape_hits += hits
-            report.tape_misses += len(keys) - hits
+            missed_keys: set[str] = set()
+            report.tape_hits += len({unit.tape_key for unit in groups})
+            for unit in groups:
+                unit.missed_keys = missed_keys
     root = Path(tape_cache.root) if tape_cache is not None else None
     if pooled and root is None and groups:
         # No persistent cache: an ephemeral sweep-local store still lets
@@ -537,6 +560,7 @@ class _TapeWarmup:
                 for other in futures.values():
                     other.cancel()
                 raise _point_error(owners[0].tasks[0], exc) from exc
+            _count_miss(self.report, owners[0].missed_keys, key)
             if self.report is not None:
                 self.report.record_s += record_s
             config = getattr(owners[0].tasks[0], "fast_forward", None)

@@ -131,8 +131,9 @@ class ResultCache:
 
         A pure existence probe: it does not read, validate, or discard
         the entry, so a later :meth:`load` still performs (and counts)
-        the real lookup.  Used by callers that want to attribute
-        hit/miss accounting before handing the key to a worker process.
+        the real lookup.  An entry that exists may still fail to load,
+        so this is no hit count: the batch backend uses it only to pick
+        the tapes a pooled sweep records up front.
         """
         return self._entry_path(key).is_file()
 

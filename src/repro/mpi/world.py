@@ -382,15 +382,6 @@ class World:
             bool(rt.collective_stack),
         )
 
-    def _dispatch(self, rt: _RankRuntime, request: Any) -> tuple[bool, Any]:
-        """Perform one request; returns (blocked, resume_value)."""
-        handler = self._HANDLERS.get(request.__class__)
-        if handler is None:
-            raise SimulationError(
-                f"rank {rt.rank} yielded an unknown request: {request!r}"
-            )
-        return handler(self, rt, request)
-
     def _do_now(self, rt: _RankRuntime, request: Now) -> tuple[bool, Any]:
         return False, self.engine._now
 
@@ -707,14 +698,6 @@ class World:
         if not queue:
             del unexpected[best_key]
         return message
-
-    @staticmethod
-    def _matches(handle: Handle, message: _Message) -> bool:
-        if handle.peer != ANY_SOURCE and handle.peer != message.source:
-            return False
-        if handle.tag != ANY_TAG and handle.tag != message.tag:
-            return False
-        return True
 
     def _complete_recv(self, handle: Handle, message: _Message) -> None:
         overhead = self._endpoint_overhead

@@ -18,7 +18,9 @@ This module exploits it across a whole sweep:
    their operation counts, communication edges with payload sizes and
    tags, waits with their handle references, disk bursts, disk-speed
    transitions, and iteration marks (with the fast-forward jumps the
-   recording itself took).  The fast-forward signature machinery runs
+   recording itself took).  The recorder also notes the sending rank of
+   every wire send in the order the engine dispatches them — the
+   recording's *send order*.  The fast-forward signature machinery runs
    during the recording — with the task's own config when set, else in
    an observe-only mode that never jumps — and any signature deviation
    disqualifies the tape.
@@ -29,7 +31,11 @@ This module exploits it across a whole sweep:
    :class:`~repro.mpi.requests.SetGear` (adaptive policies), so either
    request fails certification; everything else resumes with
    gear-invariant values (payloads, handles, skip counts), which makes
-   the whole request stream gear-invariant by induction.  Recorded
+   the whole request stream gear-invariant by induction.  A receive
+   with a wildcard source or tag fails too: which message it matches
+   depends on arrival times.  Without wildcards, matching is FIFO per
+   (source, destination, tag) channel, so the k-th send on a channel
+   pairs with the k-th receive posted on it at every gear.  Recorded
    fast-forward jumps additionally require consistent reducible-walk
    state at the jump window's boundaries, and a disk-speed change
    inside a replicated window is rejected.
@@ -40,23 +46,19 @@ This module exploits it across a whole sweep:
    to the engine's scalar arithmetic — and the tape's *interactions*
    (message completions, the stateful network server pool, recorded
    macro-step jumps) are walked **once for the whole grid**: the op
-   tuples are compiled into per-rank replay plans plus a gear-invariant
-   schedule (the wire-send order and the send↔receive pairing observed
-   by one instrumented scalar replay at the recording gear), and every
-   gear's timeline advances in lockstep as ``(gears,)`` time vectors.
-   Stretches between interactions collapse to one cumulative-sum gap
-   per gear; receive completions are pure ``max`` dataflow because the
-   pairing is FIFO per (source, tag) channel and hence gear-invariant.
-   Two recorded properties *can* legitimately vary with the gear and
-   are guarded: a receive with a wildcard source/tag (matching order is
-   time-dependent — the tape is not walked at all), and the injection
-   order of wire sends through the contended server pool (an inversion
-   or a contended tie against the recorded order flags that gear
-   column).  Every column the walk cannot certify takes its timeline
-   (per-rank finish times and disk-phase boundaries) from the exact
-   scalar interpreter (:func:`_replay_gear`) instead — the recording
-   gear's from the compile-time replay, which is never repeated — and
-   the count is reported via :class:`ReplayStats`, never silent.
+   tuples are compiled into per-rank replay plans plus the structural
+   send↔receive pairing, the walk advances ranks in the recorded send
+   order, and every gear's timeline advances in lockstep as
+   ``(gears,)`` time vectors.  Stretches between interactions collapse
+   to one cumulative-sum gap per gear; receive completions are pure
+   ``max`` dataflow over the pairing.  The injection order of wire
+   sends through the contended server pool *can* legitimately vary
+   with the gear and is guarded: an inversion or a contended tie
+   against the recorded order flags that gear column.  Every column the
+   walk cannot certify takes its timeline (per-rank finish times and
+   disk-phase boundaries) from the exact scalar interpreter
+   (:func:`_replay_gear`) instead, and the count is reported via
+   :class:`ReplayStats`, never silent.
 
 4. **Roll up.**  One vectorized rollup turns every column's timeline
    into measurements.  Energy decomposes exactly: each rank draws its
@@ -76,7 +78,7 @@ before any other gear is trusted.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import defaultdict
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import count
@@ -135,16 +137,17 @@ _OP_MARK = 7
 
 #: Serialization format of :func:`tape_to_payload`.  Part of every tape
 #: cache key, so a format change can never collide with older entries.
-TAPE_FORMAT_VERSION = 1
+TAPE_FORMAT_VERSION = 2
 
 
 class BatchUnsupported(Exception):
     """The recorded run cannot be revalued across gears.
 
     Raised when certification fails (a ``Now`` or ``SetGear`` request,
-    a signature deviation during the recording, inconsistent jump-window
-    state) or when the replay self-check misses.  Callers fall back to
-    the exact event engine, which handles every program.
+    a wildcard receive, a signature deviation during the recording,
+    inconsistent jump-window state) or when the replay self-check
+    misses.  Callers fall back to the exact event engine, which handles
+    every program.
     """
 
 
@@ -152,8 +155,8 @@ class BatchUnsupported(Exception):
 class ReplayStats:
     """Where :func:`replay_grid` took each requested gear column's timeline.
 
-    The vectorized walk is conservative: any gear whose interaction
-    order cannot be proven to match the recorded schedule takes its
+    The vectorized walk is conservative: any gear whose wire-send order
+    cannot be proven to match the recorded send order takes its
     timeline from the exact scalar interpreter instead, and is counted
     here, so truncated vector coverage is visible, never silent.  Every
     column then goes through the same vectorized rollup.  Counts cover
@@ -163,8 +166,7 @@ class ReplayStats:
     #: Gear columns whose timeline came from the vectorized walk.
     vector_gears: int = 0
     #: Gear columns whose timeline came from the scalar interpreter
-    #: (an ineligible tape, a diverged recording-gear column, or a
-    #: per-column guard).
+    #: (a diverged recording-gear column, or a per-column guard).
     scalar_gears: int = 0
     #: Scalar columns forced by a per-column order-divergence guard.
     divergent_gears: int = 0
@@ -181,6 +183,9 @@ class Tape:
     nodes: int
     #: Per-rank flat op stream (tuples, opcode first).
     ops: list[list[tuple]]
+    #: Sending rank of every wire (non-self) send, in the order the
+    #: recording's engine dispatched them.
+    send_order: list[int]
     #: Per-rank compute-segment parameter arrays (float64).
     seg_uops: list[np.ndarray]
     seg_misses: list[np.ndarray]
@@ -209,7 +214,7 @@ class Tape:
     recording_gear: int
     #: Iterations the recording's fast-forward macro-stepped past.
     recorded_skips: int
-    #: Lazily-built compiled form (replay plans + schedule).
+    #: Lazily-built compiled form (replay plans + message pairing).
     #: Derived state: not part of the tape's identity or its payload.
     _compiled: "CompiledTape | None" = field(
         default=None, repr=False, compare=False
@@ -220,14 +225,22 @@ class Tape:
 # Recording
 
 
-def _recording_program(program, tapes: list[list[tuple[Any, Any]]]):
+def _recording_program(
+    program, tapes: list[list[tuple[Any, Any]]], send_order: list[int]
+):
     """Wrap a program factory so every (request, resume value) pair of
     every rank lands on its tape.  The wrapper is transparent: requests
     and values pass through unchanged, so the recording run is bitwise
-    the run the event engine would execute without it."""
+    the run the event engine would execute without it.
+
+    A wire send's rank is appended to ``send_order`` just before the
+    request is yielded, which is inside the engine's dispatch loop
+    right before the handler runs, so the list is the engine's own
+    dispatch order."""
 
     def factory(comm):
-        entries = tapes[comm.rank]
+        rank = comm.rank
+        entries = tapes[rank]
         gen = program(comm)
         value = None
         while True:
@@ -235,6 +248,8 @@ def _recording_program(program, tapes: list[list[tuple[Any, Any]]]):
                 request = gen.send(value)
             except StopIteration as stop:
                 return stop.value
+            if request.__class__ is Isend and request.dest != rank:
+                send_order.append(rank)
             value = yield request
             entries.append((request, value))
 
@@ -258,10 +273,11 @@ def record_tape(
     workload.validate_nodes(nodes)
     cluster.validate_run(nodes, gear)
     entries: list[list[tuple[Any, Any]]] = [[] for _ in range(nodes)]
+    send_order: list[int] = []
     config = fast_forward if fast_forward is not None else _OBSERVE_ONLY
     world = World(
         cluster,
-        _recording_program(workload.program, entries),
+        _recording_program(workload.program, entries, send_order),
         nodes=nodes,
         gear=gear,
         fast_forward=config,
@@ -275,7 +291,9 @@ def record_tape(
             "the event structure is not iteration-stable"
         )
     jumps = {(rank, idx): (jump, period) for rank, idx, jump, period in ff.jump_log}
-    return _build_tape(cluster, workload, nodes, gear, entries, jumps, recording)
+    return _build_tape(
+        cluster, workload, nodes, gear, entries, send_order, jumps, recording
+    )
 
 
 def _build_tape(
@@ -284,6 +302,7 @@ def _build_tape(
     nodes: int,
     gear: int,
     entries: list[list[tuple[Any, Any]]],
+    send_order: list[int],
     jumps: dict[tuple[int, int], tuple[int, int]],
     recording: WorldResult,
 ) -> Tape:
@@ -363,6 +382,11 @@ def _build_tape(
                     seen_send = True
                     pending = []
             elif cls is Irecv:
+                if request.source == ANY_SOURCE or request.tag == ANY_TAG:
+                    raise BatchUnsupported(
+                        f"rank {rank}: wildcard receive — matching order "
+                        "may depend on the gear"
+                    )
                 ops.append((_OP_RECV, request.source, request.tag, slots))
                 handle_map[value.uid] = ("recv", slots)
                 slots += 1
@@ -506,6 +530,7 @@ def _build_tape(
         workload_name=workload.name,
         nodes=nodes,
         ops=ops_by_rank,
+        send_order=send_order,
         seg_uops=seg_uops,
         seg_misses=seg_misses,
         seg_stall=seg_stall,
@@ -529,147 +554,54 @@ def _build_tape(
 # Replay
 
 
-@dataclass
-class _ReplayTrace:
-    """Schedule observed by one instrumented scalar replay.
-
-    ``sends`` is the execution order of *wire* sends as ``(rank,
-    ordinal)`` — the ordinal counts every SEND op of that rank in tape
-    order — and ``pairing`` maps each ``(rank, recv slot)`` to the send
-    that completed it.  Both are gear-invariant for wildcard-free tapes
-    (FIFO per (source, tag) channel); the vector walk follows this
-    schedule and guards the send order per gear.
-    """
-
-    sends: list[tuple[int, int]] = field(default_factory=list)
-    pairing: dict[tuple[int, int], tuple[int, int]] = field(
-        default_factory=dict
-    )
-
-
 #: One gear's exact timeline: per-rank finish times and per-rank
 #: disk-speed phase boundaries ``(time, new disk idle watts)``.
 _Timeline = tuple[list[float], list[list[tuple[float, float]]]]
 
 
-def _replay_gear(
-    tape: Tape,
-    durations: list[list[float]],
-    trace: _ReplayTrace | None = None,
-) -> _Timeline:
+def _replay_gear(tape: Tape, durations: list[list[float]]) -> _Timeline:
     """Re-run the tape's interactions at one gear.
 
     Returns the gear's :data:`_Timeline`.  The interpreter mirrors
-    :class:`~repro.mpi.world.World` exactly — same matching algorithm,
-    same network server pool, same FIFO tie-breaking — so the timeline
-    is the event engine's, without generators, traces, or meters.
-    With ``trace`` the replay additionally records the wire-send order
-    and the send↔receive pairing (see :class:`_ReplayTrace`).
+    :class:`~repro.mpi.world.World` exactly — same network server pool,
+    same FIFO tie-breaking — so the timeline is the event engine's,
+    without generators, traces, or meters.  Messages complete over the
+    tape's structural pairing (:func:`_pair_messages`) instead of
+    matching queues: a completion is made when the later of the send
+    and the receive post happens, as the engine makes it, at
+    ``max(post, arrival) + overhead``.
     """
     nodes = tape.nodes
     network = tape.cluster.network_model()
     schedule_transfer = network.schedule_transfer
     overhead = network.endpoint_overhead()
+    pairing = _compiled(tape).pairing
     ops_by_rank = tape.ops
     nops = [len(ops) for ops in ops_by_rank]
     pos = [0] * nodes
     finish: list[float | None] = [None] * nodes
     heap: list[tuple[float, int, int]] = []
     seq = count()
-    msg_seq = count(1)
-    recv_uid = count()
-    recv_post: list[list[float]] = [[0.0] * n for n in tape.recv_slots]
+    recv_post: list[list[float | None]] = [[None] * n for n in tape.recv_slots]
+    recv_arrival: list[list[float | None]] = [
+        [None] * n for n in tape.recv_slots
+    ]
     recv_done: list[list[float | None]] = [[None] * n for n in tape.recv_slots]
     recv_waiting: list[list[bool]] = [[False] * n for n in tape.recv_slots]
-    posted: list[dict[tuple[int, int], deque]] = [{} for _ in range(nodes)]
-    unexpected: list[dict[tuple[int, int], deque]] = [{} for _ in range(nodes)]
     phases: list[list[tuple[float, float]]] = [[] for _ in range(nodes)]
     marks: list[list[float]] = [[] for _ in range(nodes)]
     # Send ordinals: the k-th SEND op of a rank (any kind) is (rank, k).
     send_ord = [0] * nodes
 
-    def complete(
-        rank: int, slot: int, arrival: float, now: float, ident: tuple[int, int]
-    ) -> None:
-        # Mirrors World._complete_recv: ready + per-endpoint overhead.
-        if trace is not None:
-            trace.pairing[(rank, slot)] = ident
-        ready = max(recv_post[rank][slot], arrival, now)
-        done = ready + overhead
+    def complete(rank: int, slot: int, post: float, arrival: float) -> None:
+        # Mirrors World._complete_recv: ready + per-endpoint overhead
+        # (the engine's third operand, the current time, is the post
+        # time or precedes the arrival, so it never wins the max).
+        done = max(post, arrival) + overhead
         recv_done[rank][slot] = done
         if recv_waiting[rank][slot]:
             recv_waiting[rank][slot] = False
             heappush(heap, (done, next(seq), rank))
-
-    def route(
-        dest: int,
-        source: int,
-        tag: int,
-        arrival: float,
-        now: float,
-        ident: tuple[int, int],
-    ) -> None:
-        # Mirrors World._route (indexed FIFO, earliest-posted wins).
-        pd = posted[dest]
-        if pd:
-            best_key = None
-            best_uid = -1
-            for key in (
-                (source, tag),
-                (ANY_SOURCE, tag),
-                (source, ANY_TAG),
-                (ANY_SOURCE, ANY_TAG),
-            ):
-                queue = pd.get(key)
-                if queue:
-                    uid = queue[0][0]
-                    if best_key is None or uid < best_uid:
-                        best_key, best_uid = key, uid
-            if best_key is not None:
-                queue = pd[best_key]
-                _, slot = queue.popleft()
-                if not queue:
-                    del pd[best_key]
-                complete(dest, slot, arrival, now, ident)
-                return
-        ud = unexpected[dest]
-        key = (source, tag)
-        queue = ud.get(key)
-        if queue is None:
-            ud[key] = deque(((arrival, next(msg_seq), ident),))
-        else:
-            queue.append((arrival, next(msg_seq), ident))
-
-    def match_unexpected(rank: int, source: int, tag: int):
-        # Mirrors World._match_unexpected (earliest-sent wins).
-        ud = unexpected[rank]
-        if not ud:
-            return None
-        if source != ANY_SOURCE and tag != ANY_TAG:
-            queue = ud.get((source, tag))
-            if not queue:
-                return None
-            message = queue.popleft()
-            if not queue:
-                del ud[(source, tag)]
-            return message
-        best_key = None
-        best_seq = -1
-        for key, queue in ud.items():
-            if source != ANY_SOURCE and key[0] != source:
-                continue
-            if tag != ANY_TAG and key[1] != tag:
-                continue
-            mseq = queue[0][1]
-            if best_key is None or mseq < best_seq:
-                best_key, best_seq = key, mseq
-        if best_key is None:
-            return None
-        queue = ud[best_key]
-        message = queue.popleft()
-        if not queue:
-            del ud[best_key]
-        return message
 
     def advance(rank: int, now: float) -> None:
         ops = ops_by_rank[rank]
@@ -691,32 +623,28 @@ def _replay_gear(
                     heappush(heap, (now + d, next(seq), rank))
                     return
             elif code == _OP_SEND:
-                _, dest, tag, nbytes, same = op
                 ordinal = send_ord[rank]
                 send_ord[rank] = ordinal + 1
                 inject = now + overhead
-                if trace is not None and not same:
-                    trace.sends.append((rank, ordinal))
-                arrival = schedule_transfer(inject, nbytes, same_node=same)
-                route(dest, rank, tag, arrival, now, (rank, ordinal))
+                arrival = schedule_transfer(inject, op[3], same_node=op[4])
+                target = pairing.get((rank, ordinal))
+                if target is not None:
+                    dest, slot = target
+                    post = recv_post[dest][slot]
+                    if post is None:
+                        recv_arrival[dest][slot] = arrival
+                    else:
+                        complete(dest, slot, post, arrival)
                 if overhead != 0.0:
                     pos[rank] = p
                     heappush(heap, (inject, next(seq), rank))
                     return
             elif code == _OP_RECV:
-                _, source, tag, slot = op
+                slot = op[3]
                 recv_post[rank][slot] = now
-                message = match_unexpected(rank, source, tag)
-                if message is not None:
-                    complete(rank, slot, message[0], now, message[2])
-                else:
-                    key = (source, tag)
-                    queue = posted[rank].get(key)
-                    entry = (next(recv_uid), slot)
-                    if queue is None:
-                        posted[rank][key] = deque((entry,))
-                    else:
-                        queue.append(entry)
+                arrival = recv_arrival[rank][slot]
+                if arrival is not None:
+                    complete(rank, slot, now, arrival)
             elif code == _OP_WAIT:
                 done = recv_done[rank][op[1]]
                 if done is not None:
@@ -816,8 +744,11 @@ class _RankPlan:
     recv_rows: np.ndarray  # (R,) int64 indices of _IN_RECV steps
 
 
-def _build_plan(tape: Tape, rank: int, trace: _ReplayTrace) -> _RankPlan:
-    """Fold one rank's op tuples + the observed schedule into a plan."""
+def _build_plan(
+    tape: Tape, rank: int, senders: dict[tuple[int, int], tuple[int, int]]
+) -> _RankPlan:
+    """Fold one rank's op tuples into a plan; ``senders`` maps each
+    ``(rank, recv slot)`` to the ``(rank, send ordinal)`` it pairs with."""
     link = tape.cluster.network_model().spec
     overhead = link.software_overhead
     ops = tape.ops[rank]
@@ -877,7 +808,7 @@ def _build_plan(tape: Tape, rank: int, trace: _ReplayTrace) -> _RankPlan:
             emit((_IN_RECV, op[3]))
         elif code == _OP_WAIT:
             slot = op[1]
-            src, sord = trace.pairing[(rank, slot)]
+            src, sord = senders[(rank, slot)]
             emit((_IN_WAIT, slot, src, sord))
         elif code in (_OP_ELAPSE, _OP_DISK):
             const += op[1]
@@ -910,54 +841,51 @@ def _build_plan(tape: Tape, rank: int, trace: _ReplayTrace) -> _RankPlan:
 
 @dataclass
 class CompiledTape:
-    """Derived form of a tape: plans, observed schedule, recording timeline.
+    """Derived form of a tape: per-rank replay plans and message pairing.
 
     Built lazily by :func:`_compiled` and cached on the tape, so
     repeated grid replays of one tape pay only the vectorized walk.
-    ``reason`` is set when the tape cannot be walked vectorized at all
-    (wildcard receives) and says why; ``plans`` is then empty.
-    ``timeline`` is the exact scalar replay of the recording gear that
-    derived the schedule — the recording-gear column's fallback, so that
-    gear is never replayed twice.
+    ``pairing`` (see :func:`_pair_messages`) serves both the plans and
+    the scalar interpreter.
     """
 
-    reason: str | None
     plans: list[_RankPlan]
-    schedule: _ReplayTrace
-    timeline: _Timeline
+    pairing: dict[tuple[int, int], tuple[int, int]]
 
 
-def _vector_ineligible(tape: Tape) -> str | None:
-    """A whole-tape reason the vectorized walk cannot run, or None.
+def _pair_messages(tape: Tape) -> dict[tuple[int, int], tuple[int, int]]:
+    """Map each send ``(rank, ordinal)`` to the receive ``(rank, slot)``
+    it completes; sends nobody receives are absent.
 
-    Wildcard receives make the matching order time-dependent, so the
-    recorded pairing cannot be certified gear-invariant; such tapes
-    take every gear's timeline from the scalar interpreter.
+    The ordinal counts every SEND op of a rank in tape order.  Certified
+    tapes have no wildcard receives, and the engine matches FIFO on both
+    queues of a (source, destination, tag) channel with at most one of
+    them non-empty, so the k-th send on a channel pairs with the k-th
+    receive posted on it — at every gear.
     """
+    sends: dict[tuple[int, int, int], list[tuple[int, int]]] = defaultdict(list)
+    recvs: dict[tuple[int, int, int], list[tuple[int, int]]] = defaultdict(list)
     for rank, ops in enumerate(tape.ops):
+        ordinal = 0
         for op in ops:
-            if op[0] == _OP_RECV and (
-                op[1] == ANY_SOURCE or op[2] == ANY_TAG
-            ):
-                return (
-                    f"rank {rank}: wildcard receive — matching order is "
-                    "time-dependent"
-                )
-    return None
+            if op[0] == _OP_SEND:
+                sends[(rank, op[1], op[2])].append((rank, ordinal))
+                ordinal += 1
+            elif op[0] == _OP_RECV:
+                recvs[(op[1], rank, op[2])].append((rank, op[3]))
+    return {
+        send: recv
+        for channel, posted in recvs.items()
+        for send, recv in zip(sends[channel], posted)
+    }
 
 
 def _compile_tape(tape: Tape) -> CompiledTape:
-    """Compile a tape: one instrumented scalar replay, then plans."""
-    trace = _ReplayTrace()
-    durations = _duration_grid(tape, [tape.recording_gear])
-    timeline = _replay_gear(tape, [d[0].tolist() for d in durations], trace)
-    reason = _vector_ineligible(tape)
-    plans = (
-        [_build_plan(tape, rank, trace) for rank in range(tape.nodes)]
-        if reason is None
-        else []
-    )
-    return CompiledTape(reason, plans, trace, timeline)
+    """Compile a tape: pair its messages, then build per-rank plans."""
+    pairing = _pair_messages(tape)
+    senders = {recv: send for send, recv in pairing.items()}
+    plans = [_build_plan(tape, rank, senders) for rank in range(tape.nodes)]
+    return CompiledTape(plans, pairing)
 
 
 def _compiled(tape: Tape) -> CompiledTape:
@@ -996,12 +924,12 @@ def _vector_walk(
 ) -> tuple[
     list[np.ndarray], list[list[tuple[np.ndarray, float]]], np.ndarray
 ]:
-    """Walk the recorded schedule once for every gear column.
+    """Walk the recorded send order once for every gear column.
 
     Returns per-rank ``(gears,)`` finish-time vectors, per-rank
     disk-phase boundary lists, and a boolean mask over gear columns
     flagging those whose wire-send order could not be certified against
-    the recorded schedule — an injection-order inversion, or a tie
+    the recorded send order — an injection-order inversion, or a tie
     (within noise) involving a contended transfer.  Flagged columns
     must be re-replayed by the scalar interpreter.
     """
@@ -1050,7 +978,7 @@ def _vector_walk(
 
     np_maximum = np.maximum
 
-    def advance(rank: int, upto: int | None) -> None:
+    def advance(rank: int, to_wire_send: bool) -> None:
         plan = compiled.plans[rank]
         steps = plan.steps
         off = offs[rank]
@@ -1079,7 +1007,7 @@ def _vector_walk(
                     inj_rows.append(inject)
                     start_rows.append(start)
                 k += 1
-                if step[1] == upto:
+                if to_wire_send:
                     break
             elif kind == _IN_RECV:
                 rank_posts[step[1]] = b + off[k]
@@ -1107,15 +1035,16 @@ def _vector_walk(
         base[rank] = b
         ptr[rank] = k
 
-    # Wire sends drive the walk in the recorded schedule order (the
-    # pooled backplane is the only stateful cross-rank resource); the
-    # drain then runs every rank to its end — all remaining waits pair
-    # with sends already scheduled.
-    for rank, ordinal in compiled.schedule.sends:
-        advance(rank, ordinal)
+    # Wire sends drive the walk in the recorded send order (the pooled
+    # backplane is the only stateful cross-rank resource): each entry
+    # advances its rank through its next wire send.  The drain then
+    # runs every rank to its end — all remaining waits pair with sends
+    # already walked.
+    for rank in tape.send_order:
+        advance(rank, True)
     for rank in range(nodes):
         if finish[rank] is None:
-            advance(rank, None)
+            advance(rank, False)
 
     divergent = np.zeros(G, dtype=bool)
     if servers is not None and len(inj_rows) > 1:
@@ -1250,8 +1179,6 @@ def _column_measurement(
 
 def _scalar_timelines(
     tape: Tape,
-    compiled: CompiledTape,
-    gear_indices: Sequence[int],
     dur_grid: list[np.ndarray],
     cols: Sequence[int],
     finish: list[np.ndarray],
@@ -1261,12 +1188,9 @@ def _scalar_timelines(
     scalar replays.  Disk-phase counts per rank are structural, so each
     gear's phase list lines up entry for entry with the vectors'."""
     for col in cols:
-        if gear_indices[col] == tape.recording_gear:
-            col_finish, col_phases = compiled.timeline
-        else:
-            col_finish, col_phases = _replay_gear(
-                tape, [d[col].tolist() for d in dur_grid]
-            )
+        col_finish, col_phases = _replay_gear(
+            tape, [d[col].tolist() for d in dur_grid]
+        )
         for rank in range(tape.nodes):
             finish[rank][col] = col_finish[rank]
             for (vec, _), (t, _) in zip(
@@ -1286,11 +1210,10 @@ def replay_grid(
     Compiles the tape once (cached on the tape) and walks the whole grid
     as gear-axis vectors.  Gear columns the send-order guard cannot
     certify take their timeline from the exact scalar interpreter
-    instead — every column when the tape is ineligible for the walk or
-    the recording-gear column itself diverged — and one vectorized
-    rollup turns all columns into measurements.  ``stats`` counts where
-    each requested column's timeline came from, so narrowing is never
-    silent.
+    instead — every column when the recording-gear column itself
+    diverged — and one vectorized rollup turns all columns into
+    measurements.  ``stats`` counts where each requested column's
+    timeline came from, so narrowing is never silent.
 
     The recording gear is always revalued — appended to the grid when
     absent — and checked against the recording's own event-engine
@@ -1304,30 +1227,18 @@ def replay_grid(
     except ValueError:
         check_col = len(extended)
         extended.append(tape.recording_gear)
-    G = len(extended)
     dur_grid = _duration_grid(tape, extended)
-    compiled = _compiled(tape)
-    reason = compiled.reason
-    if reason is None:
-        finish, phases, divergent = _vector_walk(tape, compiled, dur_grid)
-        if divergent[check_col]:
-            reason = (
-                "recording-gear column diverged from the recorded send "
-                "order; scalar timelines for the whole grid"
-            )
-    else:
-        finish = [np.zeros(G) for _ in range(tape.nodes)]
-        phases = [
-            [(np.zeros(G), op[2]) for op in ops if op[0] == _OP_DSPEED]
-            for ops in tape.ops
-        ]
-    # Unvalidated vector numbers never ship: a diverged check column
-    # sends every column to the scalar interpreter.
-    scalar = np.ones(G, dtype=bool) if reason is not None else divergent
-    _scalar_timelines(
-        tape, compiled, extended, dur_grid, np.flatnonzero(scalar),
-        finish, phases,
-    )
+    finish, phases, scalar = _vector_walk(tape, _compiled(tape), dur_grid)
+    reason = None
+    if scalar[check_col]:
+        # Unvalidated vector numbers never ship: a diverged check column
+        # sends every column to the scalar interpreter.
+        reason = (
+            "recording-gear column diverged from the recorded send "
+            "order; scalar timelines for the whole grid"
+        )
+        scalar[:] = True
+    _scalar_timelines(tape, dur_grid, np.flatnonzero(scalar), finish, phases)
     rollup = _rollup_vector(tape, extended, dur_grid, finish, phases)
     _self_check(
         tape, _column_measurement(tape, tape.recording_gear, rollup, check_col)
@@ -1373,6 +1284,7 @@ def _self_check(tape: Tape, replay: RunMeasurement) -> None:
 _TAPE_SCALAR_FIELDS = (
     "workload_name",
     "nodes",
+    "send_order",
     "disk_excess",
     "recv_slots",
     "total_uops",

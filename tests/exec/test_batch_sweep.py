@@ -320,6 +320,39 @@ class TestTapeCache:
         assert report.record_s > 0.0
         assert report.replay_s > 0.0
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_undecodable_tape_counts_as_a_miss(self, cluster, tmp_path, jobs):
+        # An entry that keeps its key but whose payload does not decode
+        # is re-recorded, so it must be reported as a miss, not a hit.
+        # The passthrough point gives the sweep a second unit, so with
+        # jobs=2 the re-recording happens inside a pool worker.
+        tasks = [
+            MeasurementTask(cluster, EP(SCALE), nodes=2, gear=g)
+            for g in (1, 3, 6)
+        ] + [CalibrationTask(cluster, EP(SCALE))]
+        tape_cache = TapeCache(tmp_path / "tapes")
+        sweep(tasks, backend="batch", tape_cache=tape_cache)
+        key = tape_key(tasks[0], 1)
+        assert tape_cache.contains(key)
+        tape_cache.store(key, {"garbage": 1})
+
+        report = BatchReport()
+        sweep(
+            tasks, backend="batch", jobs=jobs, batch_report=report,
+            tape_cache=tape_cache,
+        )
+        assert "tape cache: 0 hit(s), 1 miss(es)" in report.summary()
+        assert report.record_s > 0.0
+        assert not report.fallbacks
+
+        warm = BatchReport()
+        sweep(
+            tasks, backend="batch", jobs=jobs, batch_report=warm,
+            tape_cache=tape_cache,
+        )
+        assert (warm.tape_hits, warm.tape_misses) == (1, 0)
+        assert warm.record_s == 0.0
+
     def test_no_cache_summary_omits_tape_counts(self, tasks):
         report = BatchReport()
         sweep(tasks, backend="batch", batch_report=report)

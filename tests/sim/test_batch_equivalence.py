@@ -231,27 +231,29 @@ class TestScalarTimelineFallback:
         assert "recording-gear column diverged" in stats.fallback_reasons[0]
 
     def test_recording_gear_is_replayed_once(self, cluster, monkeypatch):
-        # The compile-time replay that derives the schedule is the
-        # recording-gear column's fallback timeline: a whole-grid
-        # fallback runs the scalar interpreter once per gear, no more.
-        tape = record_tape(cluster, BT(1.0), nodes=4, gear=1)
+        # The schedule is recorded, not derived by a replay, so the
+        # scalar interpreter runs only for flagged columns: never for a
+        # fully vectorized grid, and exactly once per gear for a
+        # whole-grid fallback — whether the tape is compiled or not.
         calls = []
         replay_gear = batch_module._replay_gear
 
-        def counting(tape, durations, trace=None):
-            calls.append(trace is not None)
-            return replay_gear(tape, durations, trace)
+        def counting(tape, durations):
+            calls.append(tape.workload_name)
+            return replay_gear(tape, durations)
 
         monkeypatch.setattr(batch_module, "_replay_gear", counting)
+        jacobi = record_tape(cluster, Jacobi(0.2), nodes=4, gear=1)
+        replay_grid(jacobi, list(ALL_GEARS))
+        assert calls == []
+        tape = record_tape(cluster, BT(1.0), nodes=4, gear=1)
         stats = ReplayStats()
         replay_grid(tape, list(ALL_GEARS), stats=stats)
         assert stats.scalar_gears == len(ALL_GEARS)
-        assert len(calls) == len(ALL_GEARS)
-        assert calls.count(True) == 1  # the instrumented compile replay
-        # A warm tape reuses the compiled timeline: one call fewer.
+        assert calls == ["BT"] * len(ALL_GEARS)
         calls.clear()
-        replay_grid(tape, list(ALL_GEARS))
-        assert len(calls) == len(ALL_GEARS) - 1
+        replay_grid(tape, list(ALL_GEARS))  # warm: already compiled
+        assert calls == ["BT"] * len(ALL_GEARS)
 
 
 class _DeviatingRing(Workload):
@@ -341,6 +343,65 @@ class TestDeviationForcesExactFallback:
         assert report.fallbacks, "the deviating group must be logged"
         assert report.fallback_points == len(tasks)
         assert "deviation" in report.fallbacks[0].reason
+        for ours, theirs in zip(batch_results, event_results):
+            assert ours.time == theirs.time
+            assert ours.energy == theirs.energy
+            assert ours.active_time == theirs.active_time
+
+
+class _WildcardGather(Workload):
+    """Rank 0 collects one message per iteration with a wildcard receive.
+
+    Which message a wildcard receive matches depends on arrival times,
+    so the recording's send↔receive pairing cannot be certified
+    gear-invariant and the tape must be refused.
+    """
+
+    def __init__(self):
+        self.spec = WorkloadSpec(
+            name="WildcardGather",
+            iterations=4,
+            total_uops=1.0e9,
+            upm=80.0,
+            miss_latency=25e-9,
+            serial_fraction=0.0,
+            paper_comm_class=CommScheme.CONSTANT,
+            description="gather to rank 0 through wildcard receives",
+        )
+
+    def program(self, comm: Comm) -> Program:
+        for _ in range(self.spec.iterations):
+            yield from comm.compute_block(self.parallel_block(comm.size))
+            if comm.rank == 0:
+                for _ in range(comm.size - 1):
+                    yield from comm.recv()
+            else:
+                yield from comm.send(0, nbytes=1024)
+        return None
+
+
+class TestWildcardReceivesAreRefused:
+    """A wildcard receive fails certification like Now/SetGear."""
+
+    def test_record_tape_refuses_wildcards(self, cluster):
+        with pytest.raises(BatchUnsupported, match="wildcard"):
+            record_tape(cluster, _WildcardGather(), nodes=2, gear=1)
+
+    def test_exec_fallback_is_bitwise_event(self, cluster):
+        from repro.exec.batch_sweep import BatchReport
+        from repro.exec.sweep import sweep
+        from repro.exec.tasks import MeasurementTask
+
+        tasks = [
+            MeasurementTask(cluster, _WildcardGather(), nodes=2, gear=g)
+            for g in (1, 3, 6)
+        ]
+        report = BatchReport()
+        batch_results = sweep(tasks, backend="batch", batch_report=report)
+        event_results = [task.run() for task in tasks]
+        assert len(report.fallbacks) == 1
+        assert report.fallback_points == len(tasks)
+        assert "wildcard" in report.fallbacks[0].reason
         for ours, theirs in zip(batch_results, event_results):
             assert ours.time == theirs.time
             assert ours.energy == theirs.energy

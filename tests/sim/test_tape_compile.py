@@ -98,6 +98,7 @@ class TestPayloadRoundTrip:
         wire = json.dumps(tape_to_payload(tape))
         restored = tape_from_payload(cluster, json.loads(wire))
         assert restored.ops == tape.ops
+        assert restored.send_order == tape.send_order
         assert restored.workload_name == tape.workload_name
         assert restored.nodes == tape.nodes
         assert restored.recording_time == tape.recording_time
